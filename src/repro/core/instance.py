@@ -27,6 +27,18 @@ from ..graphs.metric import Metric, metric_from_graph
 __all__ = ["DataManagementInstance"]
 
 
+def _min_finite(name: str, arr: np.ndarray) -> float:
+    """The smallest entry of ``arr`` (0 when empty), after checking that
+    every entry is finite -- a NaN or an infinity propagates into the
+    min or the max, so two reductions check the whole array."""
+    if arr.size == 0:
+        return 0.0
+    lo = arr.min()
+    if not (np.isfinite(lo) and np.isfinite(arr.max())):
+        raise ValueError(f"{name} must be finite (no NaN or infinity)")
+    return float(lo)
+
+
 @dataclass(frozen=True)
 class DataManagementInstance:
     """A static data management problem over ``n`` nodes and ``m`` objects.
@@ -87,8 +99,9 @@ class DataManagementInstance:
             raise ValueError("read_freq and write_freq must have equal shapes")
         if fr.shape[1] != n:
             raise ValueError(f"frequency arrays must have {n} columns, got {fr.shape[1]}")
-        if np.any(cs < 0) or np.any(fr < 0) or np.any(fw < 0):
-            raise ValueError("storage costs and frequencies must be non-negative")
+        for name, arr in (("storage_costs", cs), ("read_freq", fr), ("write_freq", fw)):
+            if _min_finite(name, arr) < 0:
+                raise ValueError("storage costs and frequencies must be non-negative")
 
         if not self.object_names:
             object.__setattr__(
@@ -105,7 +118,7 @@ class DataManagementInstance:
                 raise ValueError(
                     f"object_sizes must have shape ({fr.shape[0]},), got {sizes.shape}"
                 )
-            if np.any(sizes <= 0):
+            if _min_finite("object_sizes", sizes) <= 0:
                 raise ValueError("object sizes must be positive")
             object.__setattr__(self, "object_sizes", sizes)
 

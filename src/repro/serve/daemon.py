@@ -22,12 +22,16 @@ The serving loop (see ARCHITECTURE.md for the dataflow picture):
    :func:`~repro.core.costs.placement_cost`, plus migration through the
    replanner's batched :func:`~repro.simulate.replanner.migration_diff`.
 4. **Publish** -- the worker builds a fresh immutable
-   :class:`~repro.serve.state.ServingState` and swaps it in with one
-   reference assignment.  Foreground lookups (:meth:`placement`,
-   :meth:`nearest_replica`, :meth:`lookup`, :meth:`stats`) grab the
-   reference once and answer entirely from that snapshot, so they
-   always see exactly one generation -- never a mix -- while the next
-   replan runs.
+   :class:`~repro.serve.state.ServingState`, nearest-replica tables
+   included (reusing the outgoing state's table for every unchanged
+   copy set), and only then advances the cumulative accounting and
+   swaps the state in with one reference assignment.  A failure
+   anywhere before the swap leaves the published generation, its bill
+   and the drift anchors untouched.  Foreground lookups
+   (:meth:`placement`, :meth:`nearest_replica`, :meth:`lookup`,
+   :meth:`stats`) grab the reference once and answer entirely from that
+   snapshot, so they always see exactly one generation -- never a mix --
+   while the next replan runs, and never compute anything themselves.
 
 Accounting is *clairvoyant-per-epoch*, exactly the
 :class:`~repro.simulate.replanner.EpochReplanner` convention: an epoch
@@ -53,6 +57,7 @@ import queue
 import signal
 import threading
 import time
+from functools import partial
 
 import numpy as np
 
@@ -349,7 +354,10 @@ class PlacementDaemon:
         return self._state.lookup(obj, node)
 
     def stats(self) -> dict:
-        """Serving/ingest counters plus the published state's identity."""
+        """Serving/ingest counters, the published state's identity and
+        ``last_epoch``: a copy of the newest epoch record (its
+        ``tables_s``/``tables_built`` show the publish's table build),
+        ``None`` before any epoch."""
         state = self._state  # one snapshot: internally consistent
         with self._ingest_lock:
             events = self._events_ingested
@@ -374,6 +382,7 @@ class PlacementDaemon:
             "replan_mode": self.config.replan_mode,
             "replan_tolerance": self.config.replan_tolerance,
             "serve_trigger": self.config.serve_trigger,
+            "last_epoch": dict(self._records[-1]) if self._records else None,
         }
 
     @property
@@ -420,23 +429,30 @@ class PlacementDaemon:
             ) from self._worker_error
 
     def _process_epoch(self, epoch: int, fr: np.ndarray, fw: np.ndarray) -> None:
-        """Replan + bill one sealed epoch, then publish (worker thread)."""
+        """Replan + bill one sealed epoch, then publish (worker thread).
+
+        Nothing the daemon keeps changes until the new state, tables
+        included, is built; a raise before that point leaves the
+        published generation, the bill and the drift anchors as they
+        were."""
         config = self.config
         incremental = config.replan_mode == "incremental"
         inst = DataManagementInstance(self.metric, self.storage_costs, fr, fw)
         t0 = time.perf_counter()
+        # ``reanchor`` is the drift-anchor update, applied at the commit
         if not self._tracker.primed:
             # zero-knowledge start: the first sealed epoch always solves
             # the whole catalog (the replanner's epoch-0 convention)
             placement = PlacementEngine.from_config(inst, config).place()
             replaced = self.num_objects
-            self._tracker.prime(fr, fw)
+            reanchor = partial(self._tracker.prime, fr, fw)
         else:
             dirty = self._tracker.drifted(fr, fw)
             if dirty.size == 0 and config.serve_trigger == "drift":
                 # nothing crossed the tolerance: carry the placement
                 placement = Placement(tuple(self._prev_sets))
                 replaced = 0
+                reanchor = None
             elif incremental:
                 solved = PlacementEngine.from_config(inst, config).place_subset(
                     dirty
@@ -446,12 +462,13 @@ class PlacementDaemon:
                     copy_sets[obj] = copies
                 placement = Placement(tuple(copy_sets))
                 replaced = len(solved)
-                if replaced:
-                    self._tracker.rebase(dirty, fr, fw)
+                reanchor = (
+                    partial(self._tracker.rebase, dirty, fr, fw) if replaced else None
+                )
             else:
                 placement = PlacementEngine.from_config(inst, config).place()
                 replaced = self.num_objects
-                self._tracker.prime(fr, fw)
+                reanchor = partial(self._tracker.prime, fr, fw)
         # the replanner's accounting seam: one cost model bills the
         # migration and the epoch serve alike
         model = get_cost_model(config.cost_model)
@@ -474,17 +491,26 @@ class PlacementDaemon:
                 inst, placement, policy=config.cost_policy
             ).total
 
-        self._serve_cost += serve_cost
-        self._migration_cost += migration
-        self._prev_sets = list(placement.copy_sets)
+        serve_total = self._serve_cost + serve_cost
+        migration_total = self._migration_cost + migration
+        t1 = time.perf_counter()
         state = ServingState(
             metric=self.metric,
             copy_sets=placement.copy_sets,
             generation=self._state.generation + 1,
             epoch=epoch + 1,
             migration_cost=migration,
-            cumulative_cost=self._serve_cost + self._migration_cost,
+            cumulative_cost=serve_total + migration_total,
+            previous=self._state,
         )
+        tables_s = time.perf_counter() - t1
+
+        # commit: from here on nothing raises before the swap
+        if reanchor is not None:
+            reanchor()
+        self._serve_cost = serve_total
+        self._migration_cost = migration_total
+        self._prev_sets = list(placement.copy_sets)
         self._records.append(
             {
                 "epoch": epoch,
@@ -496,6 +522,8 @@ class PlacementDaemon:
                 "copies_added": int(added),
                 "copies_dropped": int(dropped),
                 "solve_time_s": float(solve_time),
+                "tables_s": float(tables_s),
+                "tables_built": int(state.tables_built),
             }
         )
         if self._history is not None:

@@ -1,22 +1,33 @@
 """The immutable serving snapshot the daemon answers lookups from.
 
 One :class:`ServingState` is everything a lookup needs -- the copy sets,
-the generation that produced them, that generation's migration bill and
-the cumulative bill so far -- frozen at publish time.  The daemon swaps
-a fresh state in with a single attribute assignment (atomic under the
-GIL), so a reader that grabbed the reference once can never observe a
-half-published placement: every field it touches, including the
-per-object nearest-replica cache, hangs off the one snapshot it holds.
+the generation that produced them, that generation's migration bill,
+the cumulative bill so far and every object's nearest-replica table --
+built in full before it is published.  The daemon swaps a fresh state in
+with a single attribute assignment (atomic under the GIL), so a reader
+that grabbed the reference once can never observe a half-published
+placement, and nothing in a published state ever changes again.
 
-The nearest-replica arrays are *lazy*: computed per object on first
-lookup (one ``nearest_in_set`` backend query, vectorized over all
-nodes), then memoized under a lock inside the snapshot -- concurrent
-readers may race to compute the same arrays, which is idempotent.
+The nearest-replica tables are built in the constructor, which the
+daemon runs on its replan worker before the publish.  Each distinct
+copy set costs one ``nearest_in_set`` backend query: per node, the
+nearest copy and the distance to it, as two read-only length-``n``
+arrays (16 bytes per node).  Objects with equal copy sets share one
+pair, and a state built with ``previous=`` reuses the previous
+generation's pair for every copy set it already had, so a publish
+queries the backend only for the copy sets the epoch changed.  The
+tables take at most ``m * n * 16`` bytes.
+
+A lookup therefore checks ``obj`` and ``node`` and indexes two arrays:
+no backend call, no numpy reduction, no lock.  That is the point of
+building them ahead: a numpy call inside a lookup hands the interpreter
+lock to the replan thread, and getting it back can take the whole 5 ms
+switch interval, so lookups that computed their object's arrays on
+first use set the daemon's latency tail.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +69,12 @@ class LookupResult:
 
 
 class ServingState:
-    """Immutable-by-convention placement snapshot with lookup caches.
+    """Immutable placement snapshot with prebuilt nearest-replica tables.
 
     Parameters
     ----------
     metric:
-        The distance backend replica lookups route through (shared
-        across generations; its row cache is thread-safe).
+        The distance backend the tables are built from.
     copy_sets:
         The published placement, one sorted node tuple per object.
     generation:
@@ -75,11 +85,18 @@ class ServingState:
         The migration bill of the publish that produced this state.
     cumulative_cost:
         Serving + migration billed across all published epochs so far.
+    previous:
+        The state this one replaces.  Its tables are reused for every
+        copy set it already had (same metric only); the new state keeps
+        no reference to it.
+
+    ``tables_built`` is the number of distinct copy sets whose table
+    this state computed rather than reused.
     """
 
     __slots__ = (
-        "metric", "copy_sets", "generation", "epoch",
-        "migration_cost", "cumulative_cost", "_nearest", "_nearest_lock",
+        "metric", "copy_sets", "generation", "epoch", "migration_cost",
+        "cumulative_cost", "num_nodes", "tables_built", "_tables",
     )
 
     def __init__(
@@ -91,6 +108,7 @@ class ServingState:
         epoch: int,
         migration_cost: float = 0.0,
         cumulative_cost: float = 0.0,
+        previous: ServingState | None = None,
     ) -> None:
         self.metric = metric
         self.copy_sets = tuple(tuple(int(v) for v in s) for s in copy_sets)
@@ -98,9 +116,23 @@ class ServingState:
         self.epoch = int(epoch)
         self.migration_cost = float(migration_cost)
         self.cumulative_cost = float(cumulative_cost)
-        # obj -> (nearest source per node, distance per node), lazy
-        self._nearest: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._nearest_lock = threading.Lock()
+        self.num_nodes = int(metric.n)
+        known: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        if previous is not None and previous.metric is metric:
+            known.update(zip(previous.copy_sets, previous._tables))
+        tables = []
+        built = 0
+        for copies in self.copy_sets:
+            table = known.get(copies)
+            if table is None:
+                sources, dists = metric.nearest_in_set(copies)
+                sources.setflags(write=False)
+                dists.setflags(write=False)
+                table = known[copies] = (sources, dists)
+                built += 1
+            tables.append(table)
+        self._tables = tuple(tables)
+        self.tables_built = built
 
     # ------------------------------------------------------------------
     @property
@@ -119,13 +151,12 @@ class ServingState:
             )
         return obj
 
-    def _nearest_arrays(self, obj: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._nearest.get(obj)
-        if cached is None:
-            cached = self.metric.nearest_in_set(self.copy_sets[obj])
-            with self._nearest_lock:
-                cached = self._nearest.setdefault(obj, cached)
-        return cached
+    def _check(self, obj: int, node: int) -> tuple[int, int]:
+        obj = self._check_obj(obj)
+        node = int(node)
+        if not 0 <= node < self.num_nodes:
+            raise ValueError(f"unknown node {node} (network has {self.num_nodes})")
+        return obj, node
 
     # ------------------------------------------------------------------
     def placement(self, obj: int) -> tuple[int, ...]:
@@ -134,23 +165,20 @@ class ServingState:
 
     def nearest_replica(self, obj: int, node: int) -> tuple[int, float]:
         """``(replica node, distance)`` for a request from ``node``."""
-        obj = self._check_obj(obj)
-        node = int(node)
-        sources, dists = self._nearest_arrays(obj)
-        if not 0 <= node < dists.shape[0]:
-            raise ValueError(f"unknown node {node} (network has {dists.shape[0]})")
-        return int(sources[node]), float(dists[node])
+        obj, node = self._check(obj, node)
+        sources, dists = self._tables[obj]
+        return sources.item(node), dists.item(node)
 
     def lookup(self, obj: int, node: int) -> LookupResult:
         """A full lookup answer with publish provenance attached."""
-        obj = self._check_obj(obj)
-        replica, distance = self.nearest_replica(obj, node)
+        obj, node = self._check(obj, node)
+        sources, dists = self._tables[obj]
         return LookupResult(
             obj=obj,
-            node=int(node),
+            node=node,
             copies=self.copy_sets[obj],
-            replica=replica,
-            distance=distance,
+            replica=sources.item(node),
+            distance=dists.item(node),
             generation=self.generation,
             epoch=self.epoch,
             migration_cost=self.migration_cost,

@@ -89,6 +89,51 @@ class TestValidation:
         assert inst.num_objects == 1
 
 
+def _arrays_with(field: str, bad: float) -> dict:
+    """Valid two-object arrays for the five-node line, one entry of
+    ``field`` replaced by ``bad``."""
+    arrays = {
+        "storage_costs": np.full(5, 3.0),
+        "read_freq": np.array([[1.0, 0.0, 2.0, 0.0, 1.0], [0.0, 3.0, 0.0, 0.0, 0.0]]),
+        "write_freq": np.array([[0.0, 1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]]),
+        "object_sizes": np.ones(2),
+    }
+    arrays[field].flat[1] = bad
+    return arrays
+
+
+_FIELDS = ["storage_costs", "read_freq", "write_freq", "object_sizes"]
+_NON_FINITE = pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+)
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite price, frequency or size is rejected by name when
+    the instance is built -- not planned into a finite bill, and not left
+    to fail deep inside the radii sweep or at billing time."""
+
+    @_NON_FINITE
+    @pytest.mark.parametrize("field", _FIELDS)
+    def test_constructor_names_the_array(self, line_metric, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            DataManagementInstance(line_metric, **_arrays_with(field, bad))
+
+    @_NON_FINITE
+    @pytest.mark.parametrize("field", _FIELDS)
+    def test_planner_never_solves_a_non_finite_instance(self, line_metric, field, bad):
+        from repro.api import Planner
+
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            Planner().plan(DataManagementInstance(line_metric, **_arrays_with(field, bad)))
+
+    def test_empty_catalog_still_accepted(self, line_metric):
+        inst = DataManagementInstance(
+            line_metric, np.ones(5), np.zeros((0, 5)), np.zeros((0, 5))
+        )
+        assert inst.num_objects == 0
+
+
 class TestDerived:
     def test_counts(self, basic):
         assert basic.num_nodes == 5

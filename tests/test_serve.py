@@ -2,10 +2,14 @@
 consistency under live background replans, warm restarts, checkpoints,
 spool files and the CLI/registry surfaces."""
 
+import gc
 import io
 import json
 import sys
 import threading
+import time
+import traceback
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from repro.registry import get_strategy
 from repro.serve import (
     DaemonCheckpoint,
     PlacementDaemon,
+    ServingState,
     compare_with_replanner,
     load_checkpoint,
     read_spool_file,
@@ -157,6 +162,243 @@ class TestLookupConsistency:
                 node, dist = state.nearest_replica(obj, 0)
                 assert node in state.placement(obj)
                 assert dist == metric.rows([0])[0][node]
+
+
+# ----------------------------------------------------------------------
+# nearest-replica tables: built before the publish, reused, never locked
+# ----------------------------------------------------------------------
+class _CountingMetric(Metric):
+    """A dense metric that counts every public attribute read through it
+    -- every backend call included -- by name."""
+
+    def __init__(self, metric: Metric) -> None:
+        self.calls = Counter()
+        super().__init__(metric.dist, validate=False)
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name != "calls":
+            object.__getattribute__(self, "calls")[name] += 1
+        return object.__getattribute__(self, name)
+
+
+def _new_sets(copy_sets, previous_sets) -> int:
+    """Distinct copy sets in ``copy_sets`` that ``previous_sets`` lacks."""
+    return len(set(copy_sets) - set(previous_sets))
+
+
+class TestNearestTables:
+    def test_one_backend_query_per_distinct_new_copy_set(self):
+        _, plain = _network()
+        metric = _CountingMetric(plain)
+        cold = ServingState(
+            metric=metric, copy_sets=((0,),) * 6, generation=0, epoch=0
+        )
+        assert metric.calls["nearest_in_set"] == cold.tables_built == 1
+        # objects 1 and 2 share a new set; object 4 keeps (0,)
+        sets1 = ((0,), (1, 5), (1, 5), (2,), (0,), (3, 4))
+        gen1 = ServingState(
+            metric=metric, copy_sets=sets1, generation=1, epoch=1,
+            previous=cold,
+        )
+        assert metric.calls["nearest_in_set"] == 1 + 3
+        assert gen1.tables_built == 3
+        # object 0 moves to object 3's old set; objects 3 and 4 share (6,)
+        sets2 = ((2,), (1, 5), (0,), (6,), (6,), (3, 4))
+        gen2 = ServingState(
+            metric=metric, copy_sets=sets2, generation=2, epoch=2,
+            previous=gen1,
+        )
+        assert gen2.tables_built == _new_sets(sets2, sets1) == 1
+        assert metric.calls["nearest_in_set"] == 1 + 3 + 1
+        assert not any(ref is gen1 for ref in gc.get_referents(gen2))
+
+        metric.calls.clear()
+        answers = [
+            (gen2.lookup(obj, v), gen2.nearest_replica(obj, v), gen2.placement(obj))
+            for obj in range(len(sets2)) for v in range(plain.n)
+        ]
+        assert not metric.calls, "a lookup touched the backend"
+        for answer, pair, copies in answers:
+            sources, dists = plain.nearest_in_set(copies)
+            expected = (int(sources[answer.node]), float(dists[answer.node]))
+            assert (answer.replica, answer.distance) == pair == expected
+            assert answer.copies == copies
+
+    def test_tables_are_read_only_and_bounds_checked(self):
+        _, metric = _network()
+        state = ServingState(metric=metric, copy_sets=((0, 3),), generation=0, epoch=0)
+        sources, dists = state._tables[0]
+        with pytest.raises(ValueError):
+            dists[0] = -1.0
+        with pytest.raises(ValueError, match="unknown object"):
+            state.lookup(1, 0)
+        with pytest.raises(ValueError, match="unknown node"):
+            state.lookup(0, metric.n)
+        with pytest.raises(ValueError, match="unknown node"):
+            state.nearest_replica(0, -1)
+
+    def test_daemon_publishes_build_only_changed_sets(self):
+        g, plain = _network()
+        metric = _CountingMetric(plain)
+        wl = _workload(plain.n, m=6, epochs=5, seed=31)
+        daemon = PlacementDaemon(
+            _costs(plain.n), wl.num_objects, metric=metric, graph=g,
+            config=PlanConfig(replan_mode="incremental"), keep_history=True,
+        )
+        try:
+            # generation 0: every object on the cheapest node, one query
+            assert metric.calls["nearest_in_set"] == 1
+            assert daemon.stats()["last_epoch"] is None
+            records = replay_workload(daemon, wl)
+            for rec in records:
+                gen = rec["generation"]
+                assert rec["tables_built"] == _new_sets(
+                    daemon.generation_placement(gen),
+                    daemon.generation_placement(gen - 1),
+                )
+                assert rec["tables_s"] >= 0.0
+            last = daemon.stats()["last_epoch"]
+            assert last == records[-1] and last is not daemon._records[-1]
+
+            metric.calls.clear()
+            for obj in range(wl.num_objects):
+                for v in range(plain.n):
+                    daemon.lookup(obj, v)
+                    daemon.nearest_replica(obj, v)
+            assert not metric.calls, "a daemon lookup touched the backend"
+        finally:
+            daemon.close()
+
+    def test_readers_racing_publishes_get_their_generations_tables(self):
+        """More reader threads than cores, switching the interpreter lock
+        as often as it can, while the worker publishes: every answer is
+        the exact nearest copy of its own generation, ties included."""
+        g, metric = _network()
+        wl = _workload(metric.n, m=6, epochs=6, seed=17)
+        daemon = PlacementDaemon(
+            _costs(metric.n), wl.num_objects, metric=metric, graph=g,
+            config=PlanConfig(replan_mode="incremental"), keep_history=True,
+        )
+        expected: dict[tuple[int, ...], tuple] = {}
+        stop = threading.Event()
+        failures: list[str] = []
+        counts = [0] * 5
+        seen = [set() for _ in counts]
+
+        def reader(i: int) -> None:
+            rng = np.random.default_rng(i)
+            while not stop.is_set():
+                obj = int(rng.integers(0, wl.num_objects))
+                node = int(rng.integers(0, metric.n))
+                r = daemon.lookup(obj, node)
+                copies = daemon.generation_placement(r.generation)[obj]
+                table = expected.get(copies)
+                if table is None:
+                    table = expected.setdefault(copies, metric.nearest_in_set(copies))
+                want = (copies, int(table[0][node]), float(table[1][node]))
+                if (r.copies, r.replica, r.distance) != want:
+                    failures.append(f"gen {r.generation} obj {obj} node {node}")
+                seen[i].add(r.generation)
+                counts[i] += 1
+
+        def wait_for_every_reader(before: list[int]) -> None:
+            deadline = time.monotonic() + 10.0
+            while not all(c > b for c, b in zip(counts, before)):
+                assert time.monotonic() < deadline, "a reader made no progress"
+                time.sleep(0.005)
+
+        threads = [
+            threading.Thread(target=reader, args=(i,), daemon=True)
+            for i in range(len(counts))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            wait_for_every_reader([0] * len(counts))
+            for e in range(wl.num_epochs):
+                daemon.ingest_counts(wl.read_freqs[e], wl.write_freqs[e])
+                daemon.end_epoch(wait=False)
+            daemon.drain()
+            wait_for_every_reader(list(counts))
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+            daemon.close()
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[:5]
+        assert daemon.snapshot().generation == wl.num_epochs >= 5
+        for generations in seen:
+            assert {0, wl.num_epochs} <= generations
+
+
+class _FailingTablesMetric(Metric):
+    """A dense metric whose ``nearest_in_set`` raises once armed."""
+
+    armed = False
+
+    def nearest_in_set(self, targets):
+        if self.armed:
+            raise OSError("distance backend unavailable")
+        return super().nearest_in_set(targets)
+
+
+class TestFailedPublish:
+    def test_failed_table_build_leaves_generation_and_bill_intact(self, tmp_path):
+        g, plain = _network()
+        metric = _FailingTablesMetric(plain.dist, validate=False)
+        wl = _workload(plain.n, m=5, epochs=1, seed=11)
+        path = tmp_path / "torn.npz"
+        daemon = PlacementDaemon(
+            _costs(plain.n), wl.num_objects, metric=metric, graph=g,
+            config=PlanConfig(replan_mode="incremental"), checkpoint_path=path,
+        )
+        daemon.ingest_counts(wl.read_freqs[0], wl.write_freqs[0])
+        daemon.end_epoch(wait=True)
+        gen1 = daemon.snapshot()
+        before = daemon.stats()
+        anchors = daemon._tracker.anchors
+        assert gen1.generation == 1
+        # an epoch without traffic: every object drifts and is re-placed,
+        # the replay bills no request, so the only backend query left
+        # that can fail is the table build of the new copy sets
+        metric.armed = True
+        daemon.end_epoch(wait=False)
+        with pytest.raises(RuntimeError, match="background replan failed") as info:
+            daemon.drain()
+        frames = traceback.extract_tb(info.value.__cause__.__traceback__)
+        assert any(f.filename.endswith("state.py") for f in frames)
+
+        assert daemon.snapshot() is gen1
+        stats = daemon.stats()
+        assert stats["generation"] == 1 and stats["epochs_published"] == 1
+        assert stats["serve_cost"] + stats["migration_cost"] == stats["total_cost"]
+        assert (stats["serve_cost"], stats["migration_cost"]) == (
+            before["serve_cost"], before["migration_cost"],
+        )
+        assert stats["last_epoch"] == before["last_epoch"]
+        assert all(
+            np.array_equal(a, b) for a, b in zip(daemon._tracker.anchors, anchors)
+        )
+        for obj in range(wl.num_objects):
+            sources, dists = plain.nearest_in_set(gen1.copy_sets[obj])
+            for v in range(plain.n):
+                r = daemon.lookup(obj, v)
+                assert (r.generation, r.replica, r.distance) == (
+                    1, int(sources[v]), float(dists[v]),
+                )
+
+        with pytest.raises(RuntimeError, match="background replan failed"):
+            daemon.close()
+        cp = load_checkpoint(path)
+        assert cp.generation == 1 and cp.epochs_published == 1
+        assert cp.copy_sets == gen1.copy_sets
+        assert cp.serve_cost == stats["serve_cost"]
+        assert cp.migration_cost == stats["migration_cost"]
+        assert np.array_equal(cp.base_fr, anchors[0])
 
 
 # ----------------------------------------------------------------------
