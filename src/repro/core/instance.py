@@ -101,7 +101,7 @@ class DataManagementInstance:
             raise ValueError(f"frequency arrays must have {n} columns, got {fr.shape[1]}")
         for name, arr in (("storage_costs", cs), ("read_freq", fr), ("write_freq", fw)):
             if _min_finite(name, arr) < 0:
-                raise ValueError("storage costs and frequencies must be non-negative")
+                raise ValueError(f"{name} must be non-negative")
 
         if not self.object_names:
             object.__setattr__(
@@ -119,7 +119,7 @@ class DataManagementInstance:
                     f"object_sizes must have shape ({fr.shape[0]},), got {sizes.shape}"
                 )
             if _min_finite("object_sizes", sizes) <= 0:
-                raise ValueError("object sizes must be positive")
+                raise ValueError("object_sizes must be positive")
             object.__setattr__(self, "object_sizes", sizes)
 
     # ------------------------------------------------------------------

@@ -24,8 +24,11 @@ non-decreasing piecewise-linear function with at most ``n`` breakpoints, so
 
     zs(v) = min { integer z >= 1 : P_v(z) > cs(v) }
 
-is found by binary search and the feasible interval for ``rs(v)`` is the
-non-empty set ``(cs/zs, cs/(zs-1)] ∩ [d(v, zs-1), d(v, zs))`` (we take its
+is found by binary search -- or, for integer request counts, directly at
+the breakpoint where ``P_v`` crosses ``cs(v)`` (see
+:func:`repro.kernels._storage_crossing`) -- and the feasible interval for
+``rs(v)`` is the non-empty set
+``(cs/zs, cs/(zs-1)] ∩ [d(v, zs-1), d(v, zs))`` (we take its
 midpoint; any member satisfies the defining inequalities, and only the
 ``5 * rs(v)`` phase-2 threshold consumes the value).
 
@@ -66,7 +69,7 @@ import math
 
 import numpy as np
 
-from ..kernels import dispatch
+from ..kernels import active_impl, dispatch
 
 __all__ = [
     "RequestProfile",
@@ -245,6 +248,7 @@ def radii_for_object(
     storage_costs = np.asarray(storage_costs, dtype=float)
     if np.any(storage_costs < 0):
         raise ValueError("storage cost must be non-negative")
+    integral = bool(np.all(np.floor(weights) == weights))
 
     n = metric.n
     rw = np.empty(n)
@@ -263,7 +267,7 @@ def radii_for_object(
         SW = weights[order]
         del order
         rw[block], rs[block], zs[block] = _radii_from_sorted(
-            SD, SW, storage_costs[block], total_writes, total
+            SD, SW, storage_costs[block], total_writes, total, integral
         )
     return rw, rs, zs
 
@@ -358,7 +362,7 @@ def radii_for_objects(
             SD = np.take_along_axis(Ds, order, axis=1)
             SW = weights[i, supp][order]
             RW[i], RS[i], ZS[i] = _radii_from_sorted(
-                SD, SW, storage_costs, wtotals[i], totals[i]
+                SD, SW, storage_costs, wtotals[i], totals[i], integral
             )
         done = set(single)
         live = [i for i in live if i not in done]
@@ -385,7 +389,7 @@ def radii_for_objects(
                 SD = SD_full
                 SW = weights[i][order_full]
             RW[i, block], RS[i, block], ZS[i, block] = _radii_from_sorted(
-                SD, SW, cs_block, wtotals[i], totals[i]
+                SD, SW, cs_block, wtotals[i], totals[i], integral
             )
     return RW, RS, ZS
 
@@ -396,6 +400,7 @@ def _radii_from_sorted(
     costs: np.ndarray,
     total_writes: float,
     total: float,
+    integral: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(rw, rs, zs)`` rows from distance-sorted block state.
 
@@ -406,7 +411,9 @@ def _radii_from_sorted(
     call sites run the numpy reference or its bit-identical compiled
     twin depending on the active kernel mode.  Keeping the stack
     single-sourced is what keeps the bit-parity contract between the
-    per-object and batched paths a structural property.
+    per-object and batched paths a structural property.  ``integral``
+    (every weight an integer count) lets the numpy storage kernel solve
+    each row at its crossing breakpoint instead of bisecting it.
     """
     CW, CWD = dispatch("radii_cums")(SD, SW)
     if total_writes > 0:
@@ -415,5 +422,9 @@ def _radii_from_sorted(
         rw = dispatch("radii_prefix")(SD, CW, CWD, z, total) / total_writes
     else:
         rw = np.zeros(SD.shape[0])
-    rs, zs = dispatch("radii_storage")(SD, CW, CWD, costs, total)
+    storage = dispatch("radii_storage")
+    if integral and active_impl("radii_storage") == "numpy":
+        rs, zs = storage(SD, CW, CWD, costs, total, integral=True)
+    else:  # the compiled twin bisects every row, to the same (rs, zs)
+        rs, zs = storage(SD, CW, CWD, costs, total)
     return rw, rs, zs

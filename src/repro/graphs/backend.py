@@ -255,6 +255,11 @@ class LazyMetric:
         ``rows`` lets a caller that already fetched the block (e.g. the
         facility phase, which keeps the same block as its connection
         matrix) share storage with the pins instead of re-copying it.
+        A pinned view keeps its whole block alive, so the pins are views
+        of ``rows`` only when every row is new; when some nodes are
+        already pinned, the new rows are pinned as views of a compact
+        copy of just those rows, and the rest of ``rows`` stays free to
+        be released with the caller's block.
         """
         order = list(dict.fromkeys(int(v) for v in nodes))
         if rows is not None:
@@ -263,10 +268,11 @@ class LazyMetric:
                     f"rows must have shape ({len(order)}, {self.n}), got {rows.shape}"
                 )
             with self._lock:
-                for pos, v in enumerate(order):
-                    if v not in self._pinned:
-                        self._pinned[v] = rows[pos]
-                        self._cache.pop(v, None)
+                fresh = [pos for pos, v in enumerate(order) if v not in self._pinned]
+                block = rows if len(fresh) == len(order) else rows[fresh]
+                for pos, row in zip(fresh, block):
+                    self._pinned[order[pos]] = row
+                    self._cache.pop(order[pos], None)
             return
         with self._lock:
             fresh = [v for v in order if v not in self._pinned]

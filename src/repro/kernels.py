@@ -54,7 +54,12 @@ without fastmath by default (strict IEEE-754, no FMA contraction or
 reassociation), and every search/threshold below is a pure comparison.
 Replaying the same operations in the same order therefore produces the
 same bits, which is what lets the fast path be a pure wall-clock choice
-with zero numerical surface.
+with zero numerical surface.  One reference takes a shortcut its twin
+does not: with integer request counts the storage-radius kernel solves
+each row at its crossing breakpoint instead of bisecting, and the twin
+keeps bisecting.  They still agree bit for bit, because the crossing is
+accepted only where the bisection's own prefix arithmetic confirms it
+(see :func:`_storage_crossing`).
 """
 
 from __future__ import annotations
@@ -117,14 +122,21 @@ def _storage_radii_rows_numpy(
     CWD: np.ndarray,
     costs: np.ndarray,
     total: float,
+    integral: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``(rs, zs)`` over a block of nodes.
 
     Bit-faithful to :func:`repro.core.radii._storage_radius_from_cums`
-    per row: the same early-outs, the same binary-search trajectory
-    (per-row ``lo``/``hi`` with the identical probe arithmetic) and the
-    same interval formulas, just evaluated for every row of the block at
-    once instead of through one Python call per node.
+    per row: the same early-outs, the same storage number (the smallest
+    integer ``z >= 1`` with ``P_v(z) > cs``, the scalar binary search's
+    answer) and the same interval formulas, just evaluated for every row
+    of the block at once instead of through one Python call per node.
+
+    ``integral`` says every request weight is an integer count.  Then
+    the storage number is solved at each row's crossing breakpoint (see
+    :func:`_storage_crossing`) and only rows that check fails keep the
+    per-row bisection; fractional weights bisect every row.  The
+    compiled twin always bisects, which returns the same ``(rs, zs)``.
     """
     b = SD.shape[0]
     n_req = int(math.ceil(total))
@@ -134,11 +146,22 @@ def _storage_radii_rows_numpy(
     p_total = _prefix_rows_numpy(SD, CW, CWD, np.full(b, float(total)), total)
     never = p_total <= costs  # storage never amortizes on these rows
 
-    # binary search the smallest integer z >= 1 with P_v(z) > cs, exactly
-    # as the scalar loop does; converged (and `never`) rows stay inactive.
     lo = np.ones(b, dtype=np.int64)
     hi = np.full(b, n_req, dtype=np.int64)
     hi[never] = 1
+    p_lo = p_hi = None
+    if integral and total <= 2.0**53:
+        rows, z, p_zm1, p_z = _storage_crossing(SD, CW, CWD, costs, ~never)
+        lo[rows] = hi[rows] = z
+        if rows.size == b - int(never.sum()):
+            # every amortizing row crossed: reuse its two prefixes below
+            p_lo = np.zeros(b)
+            p_hi = np.zeros(b)
+            p_lo[rows] = p_zm1
+            p_hi[rows] = p_z
+
+    # binary search the smallest integer z >= 1 with P_v(z) > cs, exactly
+    # as the scalar loop does; converged (and `never`) rows stay inactive.
     while True:
         active = lo < hi
         if not active.any():
@@ -151,10 +174,12 @@ def _storage_radii_rows_numpy(
     zs = lo
 
     zm1 = np.maximum(zs - 1, 1)
-    p_lo = _prefix_rows_numpy(SD, CW, CWD, (zs - 1).astype(float), total)
-    d_lo = np.where(zs > 1, p_lo / zm1, 0.0)
     z_hi = np.minimum(zs.astype(float), total)
-    d_hi = _prefix_rows_numpy(SD, CW, CWD, z_hi, total) / z_hi
+    if p_lo is None:
+        p_lo = _prefix_rows_numpy(SD, CW, CWD, (zs - 1).astype(float), total)
+        p_hi = _prefix_rows_numpy(SD, CW, CWD, z_hi, total)
+    d_lo = np.where(zs > 1, p_lo / zm1, 0.0)
+    d_hi = p_hi / z_hi
     lower = np.maximum(d_lo, costs / zs)
     upper = np.where(zs > 1, np.minimum(d_hi, costs / zm1), d_hi)
     # The intersection is provably non-empty; guard against float slack.
@@ -163,6 +188,64 @@ def _storage_radii_rows_numpy(
     rs = np.where(never, np.inf, rs)
     zs = np.where(never, max(n_req, 1), zs)
     return rs, zs.astype(int)
+
+
+def _storage_crossing(
+    SD: np.ndarray,
+    CW: np.ndarray,
+    CWD: np.ndarray,
+    costs: np.ndarray,
+    amortizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Storage numbers of integer-weight rows, solved at their crossing.
+
+    Per row, ``j = count(CWD <= cs)`` is the first breakpoint whose
+    cumulative weighted distance exceeds ``cs``, so the crossing lies in
+    segment ``j``: integers ``z`` in ``(CW[j-1], CW[j]]``, where the
+    prefix search index is ``j`` and ``P(z) = CWD[j-1] + (z - CW[j-1]) *
+    SD[j]`` is exactly :func:`_prefix_rows_numpy`'s arithmetic with no
+    count pass.  The closed form ``z = floor(CW[j-1] + (cs - CWD[j-1]) /
+    SD[j]) + 1``, corrected by one step where rounding put it on the
+    wrong side (a knife edge: ``cs = 3 * 0.7`` gives ``z = 3`` with
+    ``P(3) == cs``), is accepted only where ``P(z - 1) <= cs < P(z)``.
+
+    With integer weights the computed ``P`` is non-decreasing over the
+    integers: ``CW`` differences are exact, so at a breakpoint the formula
+    reproduces ``CWD`` exactly (zero weights add exactly ``0.0``, so
+    ``P(CW[j-1]) == CWD[j-1]`` from either side), and inside a segment
+    the rounding of ``(z - CW[j-1]) * SD[j]`` is monotone in ``z``.  An
+    accepted ``z`` is therefore the first crossing, which is what the
+    bisection returns.
+
+    Returns the accepted row indices, their ``zs`` and their
+    ``P(zs - 1)`` and ``P(zs)``; every other row of ``amortizes`` is
+    left to the bisection.
+    """
+    size = SD.shape[1]
+    j_all = (CWD <= costs[:, None]).sum(axis=1)
+    r = np.flatnonzero(amortizes & (j_all < size))
+    j = j_all[r]
+    sd = SD[r, j]  # > 0: CWD[j] > cs >= CWD[j-1] needs SW[j] * SD[j] > 0
+    cs = costs[r]
+    prev = np.maximum(j - 1, 0)
+    pw = np.where(j > 0, CW[r, prev], 0.0)
+    pwd = np.where(j > 0, CWD[r, prev], 0.0)
+    cw = CW[r, j]
+
+    def prefix(z):
+        return np.where(z <= 0, 0.0, pwd + (z - pw) * sd)
+
+    with np.errstate(over="ignore"):
+        # an overflowing quotient only means the crossing is the
+        # segment's last integer, which the clip below lands on
+        z = np.floor(pw + (cs - pwd) / sd) + 1.0
+    z = np.clip(z, pw + 1.0, cw)
+    p_z, p_zm1 = prefix(z), prefix(z - 1.0)
+    step = np.where(p_z <= cs, 1.0, np.where(p_zm1 > cs, -1.0, 0.0))
+    z = np.clip(z + step, pw + 1.0, cw)
+    p_z, p_zm1 = prefix(z), prefix(z - 1.0)
+    ok = (p_zm1 <= cs) & (cs < p_z)
+    return r[ok], z[ok].astype(np.int64), p_zm1[ok], p_z[ok]
 
 
 def _phase2_sweep_numpy(

@@ -62,7 +62,7 @@ from functools import partial
 import numpy as np
 
 from ..config import PlanConfig
-from ..core.instance import DataManagementInstance
+from ..core.instance import DataManagementInstance, _min_finite
 from ..core.placement import Placement
 from ..costmodel import get_cost_model
 from ..engine import PlacementEngine
@@ -85,7 +85,9 @@ class PlacementDaemon:
     Parameters
     ----------
     storage_costs:
-        Per-node storage prices (length ``n``), shared by every epoch.
+        Per-node storage prices (length ``n``), shared by every epoch;
+        finite and non-negative, checked here (and so by :meth:`restore`
+        and ``Planner.serve``).
     num_objects:
         Catalog size ``m``; demand counters are ``(m, n)``.
     metric:
@@ -130,6 +132,8 @@ class PlacementDaemon:
         self.storage_costs = np.asarray(storage_costs, dtype=float)
         if self.storage_costs.ndim != 1:
             raise ValueError("storage_costs must be a 1-D per-node vector")
+        if _min_finite("storage_costs", self.storage_costs) < 0:
+            raise ValueError("storage_costs must be non-negative")
         self.num_objects = int(num_objects)
         if self.num_objects < 1:
             raise ValueError("num_objects must be positive")
@@ -415,12 +419,28 @@ class PlacementDaemon:
             try:
                 if item is _STOP:
                     return
-                self._process_epoch(*item)
-            except BaseException as exc:  # surfaced via drain()/end_epoch()
+                epoch, fr, fw = item
                 if self._worker_error is None:
-                    self._worker_error = exc
+                    try:
+                        self._process_epoch(epoch, fr, fw)
+                    except BaseException as exc:  # surfaced via drain()/end_epoch()
+                        self._worker_error = exc
+                if self._state.epoch <= epoch:
+                    # failed before its publish, or queued behind a
+                    # failure: the epoch's demand goes back to the window
+                    self._unseal(fr, fw)
             finally:
                 self._queue.task_done()
+
+    def _unseal(self, fr: np.ndarray, fw: np.ndarray) -> None:
+        """Return an unpublished sealed epoch's counts to the pending
+        window and roll the seal count back, so the demand is neither
+        lost nor counted as sealed: the next checkpoint holds it, and a
+        daemon restored from that checkpoint replans it."""
+        with self._ingest_lock:
+            self._pending_fr += fr
+            self._pending_fw += fw
+            self._epochs_sealed -= 1
 
     def _raise_worker_error(self) -> None:
         if self._worker_error is not None:

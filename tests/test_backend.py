@@ -184,6 +184,32 @@ class TestCache:
         lazy.precompute([7, 8, 9])
         assert lazy.rows_computed == computed
 
+    def test_overlapping_pins_do_not_keep_the_second_block_alive(self):
+        """Two objects' candidate sets overlap (both hold the cheapest
+        storage node): the first object's pins are views of its block,
+        the second object's new pins are a compact copy that shares no
+        memory with its block, and every pinned row keeps its values."""
+        g = generators.erdos_renyi_graph(60, 0.1, seed=6)
+        dense, lazy = both_backends(g)
+        inst = make_instance(lazy, seed=5, num_objects=2, demand_model="zipf")
+        first = related_facility_problem(inst, 0, max_facilities=12)
+        second = related_facility_problem(inst, 1, max_facilities=12)
+        nodes1 = set(first.facility_nodes.tolist())
+        nodes2 = second.facility_nodes.tolist()
+        shared = [v for v in nodes2 if v in nodes1]
+        new = [v for v in nodes2 if v not in nodes1]
+        assert shared and new
+        for v in nodes1:
+            assert np.shares_memory(lazy.row(v), first.dist)
+        for v in new:
+            assert not np.shares_memory(lazy.row(v), second.dist)
+        for v in nodes1 | set(new):
+            np.testing.assert_array_equal(lazy.row(v), dense.row(v))
+        # the first object's block is still what its problem holds
+        np.testing.assert_array_equal(
+            first.dist, dense.rows(first.facility_nodes)
+        )
+
     def test_as_dense_roundtrip_and_guard(self):
         g = generators.random_tree(12, seed=7)
         dense, lazy = both_backends(g)

@@ -1,8 +1,15 @@
 """Tests for repro.core.instance: validation and derived quantities."""
 
+import contextlib
+import tempfile
+import warnings
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instance import DataManagementInstance
 from repro.graphs.generators import random_tree
@@ -89,16 +96,16 @@ class TestValidation:
         assert inst.num_objects == 1
 
 
-def _arrays_with(field: str, bad: float) -> dict:
+def _arrays_with(field: str, bad: float, pos: int = 1) -> dict:
     """Valid two-object arrays for the five-node line, one entry of
-    ``field`` replaced by ``bad``."""
+    ``field`` (flat position ``pos``, wrapped) replaced by ``bad``."""
     arrays = {
         "storage_costs": np.full(5, 3.0),
         "read_freq": np.array([[1.0, 0.0, 2.0, 0.0, 1.0], [0.0, 3.0, 0.0, 0.0, 0.0]]),
         "write_freq": np.array([[0.0, 1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]]),
         "object_sizes": np.ones(2),
     }
-    arrays[field].flat[1] = bad
+    arrays[field].flat[pos % arrays[field].size] = bad
     return arrays
 
 
@@ -132,6 +139,102 @@ class TestNonFiniteInputs:
             line_metric, np.ones(5), np.zeros((0, 5)), np.zeros((0, 5))
         )
         assert inst.num_objects == 0
+
+
+def _line_graph() -> nx.Graph:
+    """The five-node unit line, as a graph (``line_metric``'s network)."""
+    g = nx.path_graph(5)
+    nx.set_edge_attributes(g, 1.0, "weight")
+    return g
+
+
+#: NaN, an infinity or a negative number: every entry no price,
+#: frequency or size may hold.
+_BAD_ENTRY = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.floats(min_value=-1e300, max_value=-1e-300),
+)
+
+
+@contextlib.contextmanager
+def _rejected_by_name(field: str):
+    """Expect a ValueError whose message starts with the array's name,
+    with every RuntimeWarning on the way turned into a failure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            yield
+
+
+class TestAdversarialInputs:
+    """NaN, infinite and negative entries are rejected by name at every
+    boundary that takes them -- the instance constructor, the planner,
+    a loaded instance file (the ``repro serve run --instance`` path) and
+    the daemon's storage prices -- without a RuntimeWarning escaping."""
+
+    @given(field=st.sampled_from(_FIELDS), bad=_BAD_ENTRY, pos=st.integers(0, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_instance_planner_and_loaded_file(self, field, bad, pos):
+        from repro.api import Planner
+        from repro.serialize import load_instance, save_instance
+
+        metric = Metric.from_graph(_line_graph())
+        arrays = _arrays_with(field, bad, pos)
+        with _rejected_by_name(field):
+            DataManagementInstance(metric, **arrays)
+        with _rejected_by_name(field):
+            Planner().plan(DataManagementInstance(metric, **arrays))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "instance.npz"
+            save_instance(
+                DataManagementInstance(metric, **_arrays_with(field, 1.0, pos)), path
+            )
+            with np.load(path) as archive:
+                payload = dict(archive)
+            payload[field] = arrays[field]
+            np.savez_compressed(path, **payload)
+            with _rejected_by_name(field):
+                load_instance(path)
+
+    @given(bad=_BAD_ENTRY, pos=st.integers(0, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_daemon_storage_prices(self, bad, pos):
+        from repro.api import Planner
+        from repro.serve import PlacementDaemon
+
+        graph = _line_graph()
+        metric = Metric.from_graph(graph)
+        costs = np.full(5, 3.0)
+        costs[pos] = bad
+        with _rejected_by_name("storage_costs"):
+            PlacementDaemon(costs, 2, metric=metric)
+        with _rejected_by_name("storage_costs"):
+            Planner().serve(graph, costs, 2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "warm.npz"
+            with PlacementDaemon(np.full(5, 3.0), 2, metric=metric) as good:
+                good.checkpoint_now(path)
+            with _rejected_by_name("storage_costs"):
+                PlacementDaemon.restore(path, storage_costs=costs, metric=metric)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_serve_run_refuses_the_instance_file(self, tmp_path, capsys, bad):
+        from repro.cli import main
+        from repro.serialize import save_instance
+
+        path = tmp_path / "instance.npz"
+        save_instance(
+            DataManagementInstance(
+                Metric.from_graph(_line_graph()), **_arrays_with("read_freq", 1.0)
+            ),
+            path,
+        )
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["storage_costs"] = _arrays_with("storage_costs", bad)["storage_costs"]
+        np.savez_compressed(path, **payload)
+        assert main(["serve", "run", "--instance", str(path)]) == 2
+        assert "storage_costs must be" in capsys.readouterr().err
 
 
 class TestDerived:

@@ -650,6 +650,108 @@ class TestIngestContract:
             daemon.end_epoch(wait=True)
 
 
+def _crashing_solve(gate=None):
+    """A ``PlacementEngine.place`` stand-in that fails (after ``gate``
+    opens, when given) -- an injected solve failure."""
+
+    def place(self):
+        if gate is not None:
+            assert gate.wait(10.0)
+        raise RuntimeError("solver crashed")
+
+    return place
+
+
+class TestFailedReplan:
+    """A replan that fails before its publish hands the sealed demand
+    back to the pending window instead of dropping it."""
+
+    def test_failed_epoch_demand_survives_close_and_restore(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import PlacementEngine
+
+        g, metric = _network()
+        wl = _workload(metric.n, m=5, epochs=1, seed=11)
+        fr, fw = wl.read_freqs[0], wl.write_freqs[0]
+        cs = _costs(metric.n)
+        log = RequestLog.from_frequencies(fr, fw)
+        path = tmp_path / "failed.npz"
+
+        with monkeypatch.context() as mp:
+            mp.setattr(PlacementEngine, "place", _crashing_solve())
+            daemon = PlacementDaemon(
+                cs, wl.num_objects, metric=metric, graph=g, checkpoint_path=path
+            )
+            daemon.ingest(log)
+            with pytest.raises(RuntimeError, match="background replan failed"):
+                daemon.end_epoch(wait=True)
+            stats = daemon.stats()
+            assert stats["events_ingested"] == len(log)
+            assert stats["epochs_published"] == 0
+            assert stats["epochs_sealed"] == 0
+            assert stats["replan_backlog"] == 0
+            assert stats["pending_events"] == len(log)
+            with pytest.raises(RuntimeError, match="background replan failed"):
+                daemon.drain()
+            with pytest.raises(RuntimeError, match="background replan failed"):
+                daemon.end_epoch()
+            with pytest.raises(RuntimeError, match="background replan failed"):
+                daemon.close()
+
+        cp = load_checkpoint(path)
+        assert cp.generation == 0 and cp.epochs_published == 0
+        np.testing.assert_array_equal(cp.pending_fr, fr)
+        np.testing.assert_array_equal(cp.pending_fw, fw)
+
+        with PlacementDaemon(
+            cs, wl.num_objects, metric=metric, graph=g
+        ) as reference:
+            reference.ingest(log)
+            reference.end_epoch(wait=True)
+            expected = reference.snapshot()
+        resumed = PlacementDaemon.restore(
+            path, storage_costs=cs, metric=metric, graph=g
+        )
+        try:
+            resumed.end_epoch(wait=True)
+            state = resumed.snapshot()
+            assert state.generation == expected.generation == 1
+            assert state.copy_sets == expected.copy_sets
+            assert state.cumulative_cost == expected.cumulative_cost
+        finally:
+            resumed.close()
+
+    def test_epochs_queued_behind_a_failure_are_returned_unprocessed(
+        self, monkeypatch
+    ):
+        from repro.engine import PlacementEngine
+
+        g, metric = _network()
+        wl = _workload(metric.n, m=5, epochs=2, seed=11)
+        gate = threading.Event()
+        monkeypatch.setattr(PlacementEngine, "place", _crashing_solve(gate))
+        daemon = PlacementDaemon(
+            _costs(metric.n), wl.num_objects, metric=metric, graph=g
+        )
+        for e in range(2):
+            daemon.ingest_counts(wl.read_freqs[e], wl.write_freqs[e])
+            assert daemon.end_epoch(wait=False) == e
+        assert daemon.stats()["replan_backlog"] == 2
+        gate.set()
+        with pytest.raises(RuntimeError, match="background replan failed"):
+            daemon.drain()
+        stats = daemon.stats()
+        assert stats["generation"] == 0
+        assert stats["epochs_sealed"] == 0 and stats["replan_backlog"] == 0
+        assert stats["pending_events"] == float(
+            sum(wl.read_freqs[e].sum() + wl.write_freqs[e].sum() for e in range(2))
+        )
+        assert daemon.epoch_records == []
+        with pytest.raises(RuntimeError, match="background replan failed"):
+            daemon.close()
+
+
 # ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
