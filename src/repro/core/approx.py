@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..facility import FL_SOLVERS, related_facility_problem
-from ..kernels import dispatch
+from ..kernels import PHASE2_FACTOR, dispatch
 from .instance import DataManagementInstance
 from .placement import Placement
 from .radii import radii_for_object
@@ -131,9 +131,9 @@ def phase2_add_copies(metric, copies, rs: np.ndarray) -> list[int]:
         added = dispatch("phase2_sweep")(dts, np.asarray(rs, dtype=float), dense)
         copy_set.update(int(v) for v in added)
         return sorted(copy_set)
-    for v in np.flatnonzero(dts > 5.0 * rs):
+    for v in np.flatnonzero(dts > PHASE2_FACTOR * rs):
         v = int(v)
-        if dts[v] > 5.0 * rs[v]:
+        if dts[v] > PHASE2_FACTOR * rs[v]:
             copy_set.add(v)
             np.minimum(dts, metric.row(v), out=dts)
     return sorted(copy_set)

@@ -265,8 +265,10 @@ def related_facility_problem(
     dist = np.asarray(metric.rows(nodes))
     # Pin the hot set's rows on backends that support it: phases 2/3 and
     # later objects revisit these exact nodes (copy holders come out of
-    # the candidate set), and pinned rows survive LRU churn.  The pins
-    # are views into the full-width row block -- no copy.
+    # the candidate set), and pinned rows survive LRU churn.  When every
+    # row is new the pins are views into this block -- no copy; when some
+    # nodes are already pinned, only the new rows are pinned, as a
+    # compact copy, so the pins never keep this whole block alive.
     precompute = getattr(metric, "precompute", None)
     if precompute is not None:
         precompute(nodes, rows=dist)

@@ -26,6 +26,14 @@ from scipy.sparse.csgraph import shortest_path
 
 __all__ = ["Metric", "metric_from_graph", "graph_to_adjacency"]
 
+#: Slack of the metric axioms :meth:`Metric._validate` admits, each both
+#: relative and absolute: ``|d(u, v) - d(v, u)| <= SYMMETRY_TOL * (1 +
+#: d(v, u))`` and ``d(u, w) <= via + TRIANGLE_TOL * (1 + via)`` with
+#: ``via = min_v d(u, v) + d(v, w)``.  Bounds derived from the triangle
+#: inequality (the radii sweep's storage-number caps) budget for them.
+SYMMETRY_TOL = 1e-9
+TRIANGLE_TOL = 1e-7
+
 
 class Metric:
     """Dense shortest-path metric over ``n`` nodes (indices ``0..n-1``).
@@ -90,14 +98,14 @@ class Metric:
             raise ValueError("distances must be non-negative")
         if not np.allclose(np.diag(d), 0.0):
             raise ValueError("diagonal must be zero")
-        if not np.allclose(d, d.T, rtol=1e-9, atol=1e-9):
+        if not np.allclose(d, d.T, rtol=SYMMETRY_TOL, atol=SYMMETRY_TOL):
             raise ValueError("distance matrix must be symmetric")
         if self.n <= 1:
             return
         # Triangle inequality: d[i, j] <= min_k d[i, k] + d[k, j].
         # One vectorized pass; tolerate tiny float slack.
         via = (d[:, :, None] + d[None, :, :]).min(axis=1)
-        if np.any(d > via + 1e-7 * (1.0 + via)):
+        if np.any(d > via + TRIANGLE_TOL * (1.0 + via)):
             raise ValueError("triangle inequality violated")
 
     # ------------------------------------------------------------------

@@ -71,6 +71,7 @@ import numpy as np
 
 __all__ = [
     "KERNEL_MODES",
+    "PHASE2_FACTOR",
     "KERNEL_NAMES",
     "dispatch",
     "get_kernel_mode",
@@ -82,6 +83,12 @@ __all__ = [
 
 #: Valid values of the ``kernels`` knob (:class:`repro.config.PlanConfig`).
 KERNEL_MODES = ("auto", "numpy", "numba")
+
+#: Phase 2's threshold (Section 2.2): a node whose nearest copy is
+#: farther than ``PHASE2_FACTOR * rs(v)`` stores a copy.  Phase 2 and the
+#: radii sweep's settle rule (:func:`repro.core.radii.radii_for_objects`)
+#: both read it, so the rule cannot drift from the test it predicts.
+PHASE2_FACTOR = 5.0
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +267,9 @@ def _phase2_sweep_numpy(
     loop :func:`repro.core.approx.phase2_add_copies` always ran.
     """
     added = []
-    for v in np.flatnonzero(dts > 5.0 * rs):
+    for v in np.flatnonzero(dts > PHASE2_FACTOR * rs):
         v = int(v)
-        if dts[v] > 5.0 * rs[v]:
+        if dts[v] > PHASE2_FACTOR * rs[v]:
             added.append(v)
             np.minimum(dts, dist[v], out=dts)
     return np.asarray(added, dtype=np.int64)
@@ -436,14 +443,14 @@ def _build_numba_impls() -> None:
         cand = np.empty(n, np.int64)
         m = 0
         for v in range(n):
-            if dts[v] > 5.0 * rs[v]:
+            if dts[v] > PHASE2_FACTOR * rs[v]:
                 cand[m] = v
                 m += 1
         added = np.empty(m, np.int64)
         cnt = 0
         for t in range(m):
             v = cand[t]
-            if dts[v] > 5.0 * rs[v]:
+            if dts[v] > PHASE2_FACTOR * rs[v]:
                 added[cnt] = v
                 cnt += 1
                 row = dist[v]

@@ -306,7 +306,10 @@ def load_array_archive(path, *, fmt: str) -> tuple[dict, dict]:
     """Read an archive written by :func:`save_array_archive`; returns
     ``(meta, arrays)`` with the format/version header checked."""
     path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
+    # The file is opened here, not by np.load, so it is closed even when
+    # the archive turns out to be unreadable (np.load leaks its own
+    # handle when the zip directory is damaged).
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
         if meta.get("format") != fmt:
             raise ValueError(

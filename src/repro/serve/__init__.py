@@ -10,7 +10,12 @@ while foreground lookups keep answering from one immutable
 ARCHITECTURE.md for the dataflow.
 """
 
-from .checkpoint import DaemonCheckpoint, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    CheckpointError,
+    DaemonCheckpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .daemon import PlacementDaemon
 from .replay import compare_with_replanner, replay_workload
 from .spool import read_spool_file, spool_files, write_spool_file
@@ -20,6 +25,7 @@ __all__ = [
     "PlacementDaemon",
     "ServingState",
     "LookupResult",
+    "CheckpointError",
     "DaemonCheckpoint",
     "save_checkpoint",
     "load_checkpoint",

@@ -18,6 +18,8 @@ artifact uses.
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,9 +33,24 @@ from ..serialize import (
     save_array_archive,
 )
 
-__all__ = ["DaemonCheckpoint", "save_checkpoint", "load_checkpoint"]
+__all__ = [
+    "CheckpointError",
+    "DaemonCheckpoint",
+    "save_checkpoint",
+    "load_checkpoint",
+]
 
 _FORMAT = "repro-serve-checkpoint"
+
+#: What reading a damaged archive raises: a truncated or empty file, a
+#: corrupt member, a wrong header, a missing array or header key.
+_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError)
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read completely: truncated,
+    empty, corrupt, of another format, or missing an array or header
+    key.  Nothing is restored from such a file."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +122,20 @@ def save_checkpoint(cp: DaemonCheckpoint, path) -> None:
 
 
 def load_checkpoint(path) -> DaemonCheckpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Raises :class:`CheckpointError`, naming the path, for any file it
+    cannot read completely; a missing file raises ``FileNotFoundError``.
+    """
+    try:
+        return _read_checkpoint(path)
+    except _UNREADABLE as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _read_checkpoint(path) -> DaemonCheckpoint:
     meta, arrays = load_array_archive(path, fmt=_FORMAT)
     primed = bool(meta["primed"])
     bills = np.asarray(arrays["bills"], dtype=float)

@@ -205,7 +205,9 @@ class PlacementDaemon:
         ``config=None`` re-uses the config recorded in the checkpoint
         (the provenance path); passing one explicitly overrides it.
         The metric/graph are rebuilt by the caller -- network structure
-        is environment, not daemon state.
+        is environment, not daemon state.  A file that cannot be read
+        completely raises :class:`~repro.serve.checkpoint.CheckpointError`
+        before any daemon is built, so nothing is restored in part.
         """
         cp = load_checkpoint(path)
         daemon = cls(

@@ -5,12 +5,15 @@ vs loop, dense vs lazy).  This module compares the fast kernels with
 frozen references instead:
 
 * ``golden_plans.json`` holds the copy sets and the bill (as a hex
-  float) of ``Planner.plan`` on two catalogs, recorded with the
-  exhaustive swap scan and the bisection-only storage kernel -- one net
-  above :data:`~repro.facility.FACILITY_AUTO_THRESHOLD` (a capped
+  float) of ``Planner.plan`` on three catalogs.  Two were recorded with
+  the exhaustive swap scan and the bisection-only storage kernel -- one
+  net above :data:`~repro.facility.FACILITY_AUTO_THRESHOLD` (a capped
   256-candidate facility set) and one below it whose node count is not
-  a multiple of 4 (every node a facility).  Both have objects whose
-  demand covers most of the net.
+  a multiple of 4 (every node a facility); both have objects whose
+  demand covers most of the net.  The third, ``dense-294-phase2``, was
+  recorded with a radii sweep that computed every node: a hotspot
+  catalog with a 4-facility cap, where phase 2 adds copies to every
+  object -- the case the sweep's settle rule must get right.
 * property sweeps hold :func:`~repro.facility.local_search_ufl` to
   :func:`tests.oracles.reference_local_search_ufl` (same open set) and
   the storage kernel to :func:`tests.oracles.reference_storage_radii_rows`
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PlanConfig, Planner, graphs, kernels, workloads
+from repro import PlanConfig, Planner, engine, graphs, kernels, workloads
 from repro.facility import FACILITY_AUTO_THRESHOLD, FacilityLocationProblem
 from repro.facility import local_search as ls
 from tests import oracles
@@ -39,19 +42,21 @@ from tests import oracles
 GOLDEN = Path(__file__).with_name("golden_plans.json")
 
 #: The catalogs of ``golden_plans.json``: (graph size, graph seed,
-#: demand seed, objects, catalog requests, storage price, write share).
+#: demand seed, objects, catalog requests, storage price, write share,
+#: demand model, phase-1 facility cap).
 CASES = {
-    "dense-1029-capped": (1041, 5, 11, 5, 3000, 40.0, 0.1),
-    "dense-294-full": (301, 6, 12, 6, 1500, None, 0.2),
+    "dense-1029-capped": (1041, 5, 11, 5, 3000, 40.0, 0.1, "catalog", None),
+    "dense-294-full": (301, 6, 12, 6, 1500, None, 0.2, "catalog", None),
+    "dense-294-phase2": (300, 8, 14, 24, 2400, None, 0.3, "catalog_hotspot", 4),
 }
 
 
 def _case_instance(name: str):
-    size, graph_seed, seed, objects, total, price, writes = CASES[name]
+    size, graph_seed, seed, objects, total, price, writes, model, _ = CASES[name]
     graph = graphs.sized_transit_stub_graph(size, seed=graph_seed)
     return workloads.make_instance(
         graphs.Metric.from_graph(graph), seed=seed, num_objects=objects,
-        demand_model="catalog", write_fraction=writes, storage_price=price,
+        demand_model=model, write_fraction=writes, storage_price=price,
         total_requests=total,
     )
 
@@ -66,8 +71,23 @@ def test_plan_matches_golden_file(name):
         assert inst.num_nodes < FACILITY_AUTO_THRESHOLD
         assert inst.num_nodes % 4 != 0
     support = np.count_nonzero(inst.read_freq + inst.write_freq, axis=1)
-    assert support.max() > inst.num_nodes // 2  # a high-support object
-    report = Planner(PlanConfig()).plan(inst)
+    added = []
+    real = engine.phase2_add_copies
+
+    def counting(metric, copies, rs):
+        out = real(metric, copies, rs)
+        added.append(len(out) - len(set(copies)))
+        return out
+
+    with mock.patch.object(engine, "phase2_add_copies", counting):
+        report = Planner(PlanConfig(facility_candidates=CASES[name][-1])).plan(inst)
+    if name.endswith("phase2"):
+        # phase 2 fires on every object, and every object's demand is a
+        # proper subset of the nodes (the support-restricted sweep)
+        assert min(added) > 0 and sum(added) > 400
+        assert 0 < support.min() and support.max() < inst.num_nodes
+    else:
+        assert support.max() > inst.num_nodes // 2  # a high-support object
     assert [list(s) for s in report.placement.copy_sets] == golden["copy_sets"]
     assert report.cost.total == float.fromhex(golden["bill_total"])
 

@@ -20,7 +20,9 @@ from repro.graphs.backend import LazyMetric
 from repro.graphs.generators import transit_stub_graph
 from repro.graphs.metric import Metric
 from repro.registry import get_strategy
+from repro.serialize import load_array_archive, save_array_archive
 from repro.serve import (
+    CheckpointError,
     DaemonCheckpoint,
     PlacementDaemon,
     ServingState,
@@ -490,6 +492,76 @@ class TestWarmRestart:
             daemon._handle_sigterm()
         assert load_checkpoint(path).generation == 1
 
+    def test_sigterm_during_a_replan_waits_for_its_publish(
+        self, tmp_path, monkeypatch
+    ):
+        """SIGTERM while an epoch's replan is still running: the handler's
+        close() waits for that epoch to publish, so the checkpoint holds
+        the in-flight epoch, and a daemon restored from it continues
+        exactly as an uninterrupted run."""
+        from repro.engine import PlacementEngine
+
+        g, metric = _network(seed=9)
+        wl = _workload(metric.n, epochs=3, seed=23)
+        cs = _costs(metric.n)
+        config = PlanConfig(replan_mode="incremental", replan_tolerance=0.0)
+        with PlacementDaemon(
+            cs, wl.num_objects, metric=metric, graph=g, config=config
+        ) as reference:
+            replay_workload(reference, wl)
+            expected = reference.snapshot()
+
+        path = tmp_path / "sigterm.npz"
+        daemon = PlacementDaemon(
+            cs, wl.num_objects, metric=metric, graph=g, config=config,
+            checkpoint_path=path,
+        )
+        daemon.ingest_counts(wl.read_freqs[0], wl.write_freqs[0])
+        daemon.end_epoch(wait=True)
+
+        entered, release = threading.Event(), threading.Event()
+        real = PlacementEngine.place_subset
+
+        def held(self, objects):
+            entered.set()
+            assert release.wait(30.0)
+            return real(self, objects)
+
+        monkeypatch.setattr(PlacementEngine, "place_subset", held)
+        daemon.ingest_counts(wl.read_freqs[1], wl.write_freqs[1])
+        assert daemon.end_epoch(wait=False) == 1
+        assert entered.wait(30.0)  # the epoch-1 replan is in flight
+        assert daemon.snapshot().generation == 1
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        try:
+            with pytest.raises(SystemExit):
+                daemon._handle_sigterm()
+        finally:
+            release.set()
+            timer.join(10.0)
+        assert not timer.is_alive()
+        published = daemon.snapshot()
+        assert published.generation == 2
+        cp = load_checkpoint(path)
+        assert cp.generation == published.generation
+        assert cp.epochs_published == 2
+        assert cp.copy_sets == published.copy_sets
+
+        monkeypatch.setattr(PlacementEngine, "place_subset", real)
+        resumed = PlacementDaemon.restore(
+            path, storage_costs=cs, metric=metric, graph=g
+        )
+        try:
+            resumed.ingest_counts(wl.read_freqs[2], wl.write_freqs[2])
+            resumed.end_epoch(wait=True)
+            state = resumed.snapshot()
+            assert state.generation == expected.generation == 3
+            assert state.copy_sets == expected.copy_sets
+            assert state.cumulative_cost == expected.cumulative_cost
+        finally:
+            resumed.close()
+
 
 # ----------------------------------------------------------------------
 # checkpoint files
@@ -554,6 +626,69 @@ class TestCheckpoint:
                 storage_costs=np.ones(small.n),
                 metric=small,
             )
+
+
+def _damaged_checkpoints(tmp_path):
+    """A good checkpoint and damaged copies of it: ``{name: path}``."""
+    g, metric = _network()
+    wl = _workload(metric.n, epochs=1)
+    with PlacementDaemon(
+        _costs(metric.n), wl.num_objects, metric=metric, graph=g
+    ) as daemon:
+        replay_workload(daemon, wl)
+        good = tmp_path / "good.npz"
+        daemon.checkpoint_now(good)
+    data = good.read_bytes()
+    damaged = {
+        "half": data[: len(data) // 2],
+        "tail-cut": data[:-10],
+        "empty": b"",
+    }
+    paths = {}
+    for name, blob in damaged.items():
+        paths[name] = tmp_path / f"{name}.npz"
+        paths[name].write_bytes(blob)
+    meta, arrays = load_array_archive(good, fmt="repro-serve-checkpoint")
+    meta = {k: v for k, v in meta.items() if k not in ("format", "version")}
+    for name, key in (("no-array", "bills"), ("no-header-key", "generation")):
+        paths[name] = tmp_path / f"{name}.npz"
+        save_array_archive(
+            paths[name], fmt="repro-serve-checkpoint",
+            meta={k: v for k, v in meta.items() if k != key},
+            arrays={k: v for k, v in arrays.items() if k != key},
+        )
+    return metric, good, paths
+
+
+class TestDamagedCheckpoint:
+    DAMAGE = ("half", "tail-cut", "empty", "no-array", "no-header-key")
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_load_names_the_file(self, tmp_path, damage):
+        _, good, paths = _damaged_checkpoints(tmp_path)
+        load_checkpoint(good)  # the undamaged file reads
+        with pytest.raises(CheckpointError, match=paths[damage].name) as info:
+            load_checkpoint(paths[damage])
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_restore_raises_before_building_a_daemon(
+        self, tmp_path, monkeypatch, damage
+    ):
+        metric, _, paths = _damaged_checkpoints(tmp_path)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a daemon was built from a damaged file")
+
+        monkeypatch.setattr(PlacementDaemon, "__init__", built)
+        with pytest.raises(CheckpointError, match=paths[damage].name):
+            PlacementDaemon.restore(
+                paths[damage], storage_costs=_costs(metric.n), metric=metric
+            )
+
+    def test_missing_file_is_not_a_damaged_one(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "absent.npz")
 
 
 # ----------------------------------------------------------------------
