@@ -54,7 +54,6 @@ __all__ = [
     "run_e14_catalog_throughput",
     "run_e15_dynamic_replay",
     "run_e16_incremental_replan",
-    "run_e17_scaling",
     "run_e18_sharded",
     "run_e19_daemon",
     "run_e20_costmodels",
@@ -1241,213 +1240,8 @@ def run_e16_incremental_replan(
 
 
 # ----------------------------------------------------------------------
-# E17: worker transport + kernel dispatch scaling
+# E18: sharded placement against portal summaries
 # ----------------------------------------------------------------------
-def run_e17_scaling(
-    *,
-    num_objects: int = 1500,
-    n: int = 1100,
-    seed: int = 37,
-    write_fraction: float = 0.05,
-    storage_price: float | None = None,
-    total_requests: float | None = None,
-    chunk_size: int = 512,
-    jobs: Sequence[int] = (2,),
-    micro_rows: int = 256,
-    micro_repeats: int = 3,
-    kernels: str = "auto",
-    fl_solver: str = "local_search",
-) -> "ExperimentResult":
-    """Zero-copy worker transport and compiled-kernel dispatch, measured.
-
-    Two sections over one E14-style WWW catalog on a sized transit-stub
-    network (dense backend):
-
-    ``placement``
-        The batched engine serial, then with each requested worker count
-        twice -- ``shared_memory=False`` (workers unpickle the whole
-        instance) and ``shared_memory=True`` (workers attach read-only
-        views of one published :class:`~repro.shm.SharedInstance`).  The
-        'payload KB' column records what each worker actually receives:
-        the pickled instance vs the pickled
-        :class:`~repro.shm.SharedInstanceHandle` -- the O(n^2) -> O(1)
-        transport claim in one number.  Every mode must reproduce the
-        serial copy sets exactly.
-
-    ``kernel``
-        Each :data:`repro.kernels.KERNEL_NAMES` hot loop micro-benched
-        on real instance data (sorted radii state, phase-2/3 sweep
-        inputs, row-block reductions): the dispatch-active
-        implementation under the ``kernels`` mode vs the numpy
-        reference, with 'matches' asserting **bit-identical** outputs
-        (exact array equality, mutated buffers included).  When the
-        active implementation *is* the reference (numba absent), the
-        speedup column reports ``--``.
-
-    On single-CPU hosts ``jobs > 1`` measures pool + transport overhead
-    rather than scaling -- the committed artifact's notes record the
-    measuring host's CPU count and numba availability for exactly that
-    reason.  ``storage_price=None`` follows the E14 sizing (moderate
-    replication).
-    """
-    import os
-    import pickle
-
-    from ..engine import PlacementEngine
-    from ..kernels import (
-        KERNEL_NAMES,
-        active_impl,
-        dispatch,
-        kernel_mode,
-        numba_available,
-    )
-    from ..shm import publish_instance, shm_available
-    from ..workloads.request_models import make_instance as _mk
-
-    g = generators.sized_transit_stub_graph(n, seed=seed)
-    metric = Metric.from_graph(g)
-    n_real = metric.n
-    if total_requests is None:
-        total_requests = 100.0 * num_objects
-    if storage_price is None:
-        storage_price = max(2.0, 0.5 * total_requests / num_objects)
-    inst = _mk(
-        metric, seed=seed + 1, num_objects=num_objects, demand_model="catalog",
-        write_fraction=write_fraction, storage_price=storage_price,
-        total_requests=total_requests,
-    )
-
-    result = ExperimentResult(
-        "E17",
-        "worker transport (shm vs pickle) + kernel dispatch scaling",
-        ("section", "label", "impl", "time (s)", "speedup", "payload KB",
-         "matches"),
-        notes=(
-            "placement: 'payload KB' is what each worker receives (pickled "
-            "instance vs pickled shm handle); 'matches' compares copy sets "
-            "to engine serial.  kernel: dispatch-active impl vs the numpy "
-            "reference on real instance data; 'matches' is exact array "
-            "equality ('--' speedup when the active impl is the reference). "
-            f"Measured with os.cpu_count()={os.cpu_count()}, "
-            f"numba available: {numba_available()}, "
-            f"shared memory available: {shm_available()}; on single-CPU "
-            "hosts jobs>1 measures pool+transport overhead, not scaling."
-        ),
-    )
-
-    # ---------------- placement section ----------------
-    def place(j: int, shm: bool):
-        engine = PlacementEngine(
-            inst, fl_solver=fl_solver, chunk_size=chunk_size, jobs=j,
-            shared_memory=shm, kernels=kernels,
-        )
-        t0 = time.perf_counter()
-        placement = engine.place()
-        return time.perf_counter() - t0, placement, engine
-
-    serial_time, serial_placement, _ = place(1, False)
-    result.rows.append(
-        ["placement", "serial", "in-process", serial_time, "--", "--", "--"]
-    )
-
-    inst_kb = len(pickle.dumps(inst)) / 1024.0
-    shared = publish_instance(inst)
-    if shared is not None:
-        handle_kb: Any = len(pickle.dumps(shared.handle)) / 1024.0
-        shared.close()
-    else:
-        handle_kb = "--"
-
-    for j in jobs:
-        if j <= 1:
-            continue
-        for shm in (False, True):
-            elapsed, placement, engine = place(j, shm)
-            used = bool(engine.used_shared_memory)
-            impl = "shm" if used else "pickle"
-            payload = handle_kb if used else inst_kb
-            result.rows.append([
-                "placement", f"jobs={j} {'shm' if shm else 'pickle'}", impl,
-                elapsed, serial_time / elapsed, payload,
-                placement.copy_sets == serial_placement.copy_sets,
-            ])
-
-    # ---------------- kernel section ----------------
-    D = metric.dist
-    b = min(micro_rows, n_real)
-    w = (inst.read_freq[0] + inst.write_freq[0]).astype(float)
-    total_w = float(w.sum())
-    SD = np.empty((b, n_real))
-    SW = np.empty((b, n_real))
-    for r in range(b):
-        order = np.argsort(D[r], kind="stable")
-        SD[r] = D[r][order]
-        SW[r] = w[order]
-    CW, CWD = dispatch("radii_cums", "numpy")(SD.copy(), SW.copy())
-    z = np.full(b, 0.5 * total_w)
-    costs = np.ascontiguousarray(inst.storage_costs[:b], dtype=float)
-
-    rs2 = 0.2 * D.mean(axis=1)
-    h = min(48, n_real)
-    rows3 = np.ascontiguousarray(D[:h, :h])
-    live3 = np.arange(h, dtype=np.int64)
-    ub3 = 0.25 * rows3.mean(axis=0)
-    k_sub = min(8, n_real)
-    sub = np.ascontiguousarray(D[:k_sub])
-    idx = np.arange(k_sub, dtype=np.int64)
-
-    # (make_args, extract): fresh buffers per call for the in-place
-    # kernels; extract folds mutated inputs into the parity comparison.
-    micro = {
-        "radii_cums": (lambda: (SD.copy(), SW.copy()), lambda a, ret: ret),
-        "radii_prefix": (
-            lambda: (SD, CW, CWD, z.copy(), total_w), lambda a, ret: (ret,)
-        ),
-        "radii_storage": (
-            lambda: (SD, CW, CWD, costs, total_w), lambda a, ret: ret
-        ),
-        "phase2_sweep": (
-            lambda: (D[0].copy(), rs2, D), lambda a, ret: (ret, a[0])
-        ),
-        "phase3_sweep": (
-            lambda: (rows3, live3, ub3, np.ones(h, dtype=bool)),
-            lambda a, ret: (a[3],),
-        ),
-        "nearest_reduce": (lambda: (sub, idx), lambda a, ret: ret),
-        "dist_reduce": (lambda: (sub,), lambda a, ret: (ret,)),
-    }
-
-    def bench(fn, make_args, extract):
-        fn(*make_args())  # warm-up: JIT compile / cache touch, untimed
-        best, out = float("inf"), None
-        for _ in range(max(1, micro_repeats)):
-            args = make_args()
-            t0 = time.perf_counter()
-            ret = fn(*args)
-            dt = time.perf_counter() - t0
-            if dt < best:
-                best, out = dt, extract(args, ret)
-        return best, out
-
-    with kernel_mode(kernels):
-        for name in KERNEL_NAMES:
-            make_args, extract = micro[name]
-            t_ref, out_ref = bench(dispatch(name, "numpy"), make_args, extract)
-            impl = active_impl(name)
-            if impl == "numpy":
-                t_act, out_act, speedup = t_ref, out_ref, "--"
-            else:
-                t_act, out_act = bench(dispatch(name), make_args, extract)
-                speedup = t_ref / t_act
-            matches = all(
-                np.array_equal(x, y) for x, y in zip(out_ref, out_act)
-            )
-            result.rows.append(
-                ["kernel", name, impl, t_act, speedup, "--", matches]
-            )
-    return result
-
-
 def run_e18_sharded(
     *,
     sizes: Sequence[int] = (1100, 2400, 5200),

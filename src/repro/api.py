@@ -49,7 +49,7 @@ from .core.placement import Placement
 from .graphs.backend import DENSE_MATERIALIZE_LIMIT, LazyMetric
 from .graphs.metric import Metric
 from .serialize import artifact_suffix as _artifact_suffix
-from .serialize import placement_from_arrays, placement_to_arrays
+from .serialize import open_archive, placement_from_arrays, placement_to_arrays
 
 __all__ = ["PlanReport", "Planner", "compare_table"]
 
@@ -169,7 +169,7 @@ class PlanReport:
         path = Path(path)
         if _artifact_suffix(path) == ".json":
             return cls.from_dict(json.loads(path.read_text()))
-        with np.load(path, allow_pickle=False) as archive:
+        with open_archive(path) as archive:
             data = json.loads(str(archive["meta"]))
             if data.get("format") != _REPORT_FORMAT:
                 raise ValueError(f"{path} is not a serialized PlanReport")

@@ -2,9 +2,8 @@
 
 Each committed ``benchmarks/BENCH_*.json`` artifact records one
 experiment's full-scale trajectory (E10b backend sweep, E14 catalog
-throughput, E15 dynamic replay, E16 incremental replan, E17 worker
-transport + kernel dispatch, E18 sharded placement, E19 serving
-daemon, E20 cost-model seam).  A
+throughput, E15 dynamic replay, E16 incremental replan, E18 sharded
+placement, E19 serving daemon, E20 cost-model seam).  A
 :class:`GateSpec` turns that prose-adjacent artifact into a machine
 checked contract, in two tiers:
 
@@ -450,33 +449,6 @@ _register(GateSpec(
     smoke_params=dict(n=40, num_objects=6, epochs=3, requests_per_epoch=240,
                       drift=0.34, tolerance=0.05, backends=["dense"],
                       scenarios=["drift"]),
-))
-
-_register(GateSpec(
-    experiment="E17",
-    exp_id="E17",
-    artifact="BENCH_e17_scaling.json",
-    headers=("section", "label", "impl", "time (s)", "speedup", "payload KB",
-             "matches"),
-    columns={
-        "section": "str", "label": "str", "impl": "str",
-        "time (s)": "number", "speedup": "number?",
-        "payload KB": "number?", "matches": "bool?",
-    },
-    checks=(
-        Check("every worker transport places the serial copy sets",
-              "matches", "is_true", where=(("section", "placement"),)),
-        Check("kernel dispatch is bit-identical to the numpy reference",
-              "matches", "is_true", where=(("section", "kernel"),)),
-        Check("shm handle payload is KBs, independent of network size",
-              "payload KB", "le", value=64.0,
-              where=(("label", "jobs=2 shm"),), tiers=("artifact",)),
-        Check("pickled-instance payload is MBs -- what shm avoids shipping",
-              "payload KB", "ge", value=1000.0,
-              where=(("label", "jobs=2 pickle"),), tiers=("artifact",)),
-    ),
-    smoke_params=dict(num_objects=48, n=60, chunk_size=16, jobs=[2],
-                      micro_rows=24, micro_repeats=1),
 ))
 
 _register(GateSpec(

@@ -49,7 +49,6 @@ EXPERIMENT_RUNNERS = {
     "E14": analysis.run_e14_catalog_throughput,
     "E15": analysis.run_e15_dynamic_replay,
     "E16": analysis.run_e16_incremental_replan,
-    "E17": analysis.run_e17_scaling,
     "E18": analysis.run_e18_sharded,
     "E19": analysis.run_e19_daemon,
     "E20": analysis.run_e20_costmodels,

@@ -73,7 +73,7 @@ from typing import Callable, Sequence
 from . import analysis
 from .api import PlanReport, Planner, compare_table
 from .bench import EXPERIMENT_RUNNERS
-from .config import KERNEL_MODES, PARTITION_METHODS, PlanConfig
+from .config import PARTITION_METHODS, PlanConfig
 from .core.approx import approximate_placement
 from .costmodel import available_cost_models, get_cost_model
 from .engine import DEFAULT_CHUNK_SIZE, PlacementEngine
@@ -140,9 +140,8 @@ def _load_config(args) -> PlanConfig | None:
     """The run's PlanConfig: file base, CLI overrides on top."""
     config = PlanConfig() if args.config is None else PlanConfig.from_file(args.config)
     overrides = {}
-    for knob in ("jobs", "fl_solver", "seed", "kernels", "cache_rows",
-                 "shared_memory", "num_shards", "portals_per_shard",
-                 "partition", "cost_model"):
+    for knob in ("jobs", "fl_solver", "seed", "cache_rows", "num_shards",
+                 "portals_per_shard", "partition", "cost_model"):
         value = getattr(args, knob, None)
         if value is not None:
             overrides[knob] = value
@@ -205,18 +204,9 @@ def _run_compare(args, out=sys.stdout) -> int:
 
 
 def _print_extras(report, out) -> None:
-    """Run-provenance lines under a plan table (kernel dispatch, worker
-    transport, lazy-backend row-cache hit rate)."""
+    """Run-provenance lines under a plan table (lazy-backend row-cache
+    hit rate, sharded decomposition)."""
     extras = report.extras or {}
-    kernels = extras.get("kernels")
-    if kernels:
-        print(f"kernels: mode={kernels['mode']} "
-              f"(numba {'available' if kernels['numba_available'] else 'absent'})",
-              file=out)
-    shm = extras.get("shared_memory")
-    if shm and shm.get("used") is not None:
-        print(f"shared memory: requested={shm['requested']} used={shm['used']}",
-              file=out)
     cache = extras.get("row_cache")
     if cache:
         rate = cache["hit_rate"]
@@ -257,8 +247,7 @@ def _run_place(args, out=sys.stdout) -> int:
 
     engine = PlacementEngine(
         inst, fl_solver=args.fl_solver, chunk_size=args.chunk_size,
-        jobs=args.jobs, shared_memory=args.shared_memory,
-        kernels=args.kernels,
+        jobs=args.jobs,
     )
     sharded = args.num_shards > 1 and args.partition != "none"
     shard_info = None
@@ -282,8 +271,6 @@ def _run_place(args, out=sys.stdout) -> int:
         "jobs": args.jobs,
         "chunk_size": args.chunk_size,
         "fl_solver": args.fl_solver,
-        "kernels": args.kernels,
-        "shared_memory_used": engine.used_shared_memory,
         "time_s": elapsed,
         "objects_per_s": inst.num_objects / elapsed,
         "total_copies": placement.total_copies(),
@@ -751,14 +738,6 @@ def main(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
                               help="override the config's phase-1 solver")
     planner_opts.add_argument("--seed", type=int, default=None,
                               help="override the config's event-order seed")
-    planner_opts.add_argument("--kernels", choices=KERNEL_MODES, default=None,
-                              help="override the config's hot-loop dispatch "
-                              "(auto | numpy | numba)")
-    planner_opts.add_argument("--shared-memory", default=None,
-                              action=argparse.BooleanOptionalAction,
-                              help="override the config's zero-copy worker "
-                              "transport (--no-shared-memory forces the "
-                              "pickle path)")
     planner_opts.add_argument("--cache-rows", dest="cache_rows", type=int,
                               default=None,
                               help="override the config's lazy-backend row "
@@ -818,12 +797,6 @@ def main(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
                       help="objects per engine chunk")
     p_pl.add_argument("--fl-solver", choices=sorted(FL_SOLVERS),
                       default="local_search")
-    p_pl.add_argument("--kernels", choices=KERNEL_MODES, default="auto",
-                      help="hot-loop dispatch (auto | numpy | numba)")
-    p_pl.add_argument("--shared-memory", default=True,
-                      action=argparse.BooleanOptionalAction,
-                      help="ship the instance to workers via shared memory "
-                      "(--no-shared-memory forces the pickle path)")
     p_pl.add_argument("--shards", dest="num_shards", type=int, default=1,
                       help="solve hierarchically over this many shards "
                       "(1 = global solve)")

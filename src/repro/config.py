@@ -20,7 +20,10 @@ Consumers:
 * ``python -m repro plan/compare --config FILE`` loads one from disk.
 
 Unknown keys are a hard :class:`TypeError` -- a typo in a config file
-must not silently fall back to a default.
+must not silently fall back to a default.  The one exception is
+:data:`_RETIRED_KNOBS`, knobs older configs still carry: ``from_dict``
+drops them with a :class:`DeprecationWarning`, so saved reports and
+daemon checkpoints keep loading.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -37,7 +41,6 @@ from .engine import DEFAULT_CHUNK_SIZE
 from .facility import FL_SOLVERS
 from .graphs.backend import DEFAULT_CACHE_ROWS
 from .graphs.partition import PARTITION_METHODS
-from .kernels import KERNEL_MODES
 
 __all__ = [
     "PlanConfig",
@@ -45,7 +48,6 @@ __all__ = [
     "COST_POLICIES",
     "REPLAN_MODES",
     "SERVE_TRIGGERS",
-    "KERNEL_MODES",
     "PARTITION_METHODS",
     "load_mapping",
 ]
@@ -100,6 +102,12 @@ REPLAN_MODES = ("full", "incremental")
 #: every sealed batch window regardless.
 SERVE_TRIGGERS = ("drift", "every-epoch")
 
+#: Knobs that older configs carry and that no longer exist: the worker
+#: transport (``shared_memory``) and the kernel dispatch mode
+#: (``kernels``).  Neither ever changed a placement, so
+#: :meth:`PlanConfig.from_dict` drops them with a warning.
+_RETIRED_KNOBS = ("shared_memory", "kernels")
+
 
 @dataclass(frozen=True)
 class PlanConfig:
@@ -121,17 +129,6 @@ class PlanConfig:
         Cap on the phase-1 candidate facility set (``None``: automatic).
     chunk_size / jobs / radii_block:
         :class:`~repro.engine.PlacementEngine` batching and parallelism.
-    shared_memory:
-        Zero-copy worker transport: with ``jobs > 1`` the engine
-        publishes the instance into shared memory (:mod:`repro.shm`)
-        and workers attach read-only views; disabled or unavailable,
-        the pickle path is used.  Never affects results.
-    kernels:
-        Hot-loop dispatch (:data:`repro.kernels.KERNEL_MODES`):
-        ``"auto"`` | ``"numpy"`` | ``"numba"``.  The numba twins are
-        bit-identical to the numpy reference; an explicit ``"numba"``
-        without numba installed degrades to numpy with a provenance
-        note.
     cache_rows:
         LRU row-cache capacity of a
         :class:`~repro.graphs.backend.LazyMetric` the planner builds
@@ -202,8 +199,6 @@ class PlanConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     jobs: int = 1
     radii_block: int = DEFAULT_RADII_BLOCK
-    shared_memory: bool = True
-    kernels: str = "auto"
     cache_rows: int = DEFAULT_CACHE_ROWS
     cost_policy: str = "mst"
     cost_model: str = "krw"
@@ -243,11 +238,6 @@ class PlanConfig:
             raise ValueError(
                 f"cost_model {self.cost_model!r} only bills the 'mst' "
                 f"cost_policy, not {self.cost_policy!r}"
-            )
-        if self.kernels not in KERNEL_MODES:
-            raise ValueError(
-                f"unknown kernels mode {self.kernels!r}; "
-                f"choose from {KERNEL_MODES}"
             )
         for knob in (
             "chunk_size", "jobs", "radii_block", "cache_rows",
@@ -309,8 +299,6 @@ class PlanConfig:
             chunk_size=self.chunk_size,
             jobs=self.jobs,
             radii_block=self.radii_block,
-            shared_memory=self.shared_memory,
-            kernels=self.kernels,
         )
 
     def replace(self, **changes) -> "PlanConfig":
@@ -328,8 +316,18 @@ class PlanConfig:
         """Build from a plain dict; unknown keys raise ``TypeError``.
 
         The explicit check turns a config-file typo into a named error
-        instead of a silently ignored knob.
+        instead of a silently ignored knob.  :data:`_RETIRED_KNOBS` are
+        dropped with one :class:`DeprecationWarning` naming them.
         """
+        retired = [k for k in _RETIRED_KNOBS if k in data]
+        if retired:
+            warnings.warn(
+                f"PlanConfig knob(s) {retired} no longer exist and are "
+                f"ignored",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            data = {k: v for k, v in data.items() if k not in _RETIRED_KNOBS}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

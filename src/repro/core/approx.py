@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..facility import FL_SOLVERS, related_facility_problem
-from ..kernels import PHASE2_FACTOR, dispatch
+from ..kernels import PHASE2_FACTOR, _phase2_sweep_numpy, _phase3_sweep_numpy
 from .instance import DataManagementInstance
 from .placement import Placement
 from .radii import radii_for_object
@@ -126,9 +126,8 @@ def phase2_add_copies(metric, copies, rs: np.ndarray) -> list[int]:
     # scan those (in ascending node order, as before) and re-check.
     dense = getattr(metric, "dist", None)
     if dense is not None:
-        # Dense backends hand the whole sweep to the kernel registry
-        # (numpy reference or its bit-identical compiled twin).
-        added = dispatch("phase2_sweep")(dts, np.asarray(rs, dtype=float), dense)
+        # Dense backends hand the whole sweep to the kernel.
+        added = _phase2_sweep_numpy(dts, np.asarray(rs, dtype=float), dense)
         copy_set.update(int(v) for v in added)
         return sorted(copy_set)
     for v in np.flatnonzero(dts > PHASE2_FACTOR * rs):
@@ -149,7 +148,6 @@ def phase3_delete_copies(metric, copies, rw: np.ndarray) -> list[int]:
     # materializes a (k, k) block at once; rows of holders already
     # deleted by an earlier chunk are never fetched.
     chunk = 256
-    sweep = dispatch("phase3_sweep")
     for c0 in range(0, scan.size, chunk):
         live = [i for i in range(c0, min(c0 + chunk, scan.size)) if alive[i]]
         if not live:
@@ -157,7 +155,7 @@ def phase3_delete_copies(metric, copies, rw: np.ndarray) -> list[int]:
         rows = np.asarray(metric.rows(scan[live]))[:, scan]  # (|live|, k)
         # The in-chunk sweep (scanned holder never deletes itself,
         # already-deleted holders stop scanning) runs as a kernel.
-        sweep(rows, np.asarray(live, dtype=np.int64), u_bound, alive)
+        _phase3_sweep_numpy(rows, np.asarray(live, dtype=np.int64), u_bound, alive)
     return sorted(int(v) for v in scan[alive])
 
 

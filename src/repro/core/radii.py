@@ -84,7 +84,12 @@ from typing import Sequence
 import numpy as np
 
 from ..graphs.metric import SYMMETRY_TOL, TRIANGLE_TOL
-from ..kernels import PHASE2_FACTOR, active_impl, dispatch
+from ..kernels import (
+    PHASE2_FACTOR,
+    _prefix_rows_numpy,
+    _radii_cums_numpy,
+    _storage_radii_rows_numpy,
+)
 
 __all__ = [
     "RequestProfile",
@@ -261,7 +266,7 @@ def radii_for_object(
     Nodes are processed in blocks of ``block_size``: one batched distance
     row fetch per block, then vectorized sorting and prefix sums, so the
     sweep never holds more than ``O(block_size * n)`` scratch.  The
-    breakpoint searches run as per-row kernels dispatched through
+    breakpoint searches run as the per-row kernels of
     :mod:`repro.kernels`, replaying the scalar
     :func:`_storage_radius_from_cums` arithmetic exactly.
     """
@@ -594,7 +599,7 @@ def _nodes_phases_read(
         c = C[near, np.arange(rest.size)] + sigma
         Dh = H[:, supp]
         order = np.argsort(Dh, axis=1, kind="stable")
-        CW, CWD = dispatch("radii_cums")(np.take_along_axis(Dh, order, axis=1), w[order])
+        CW, CWD = _radii_cums_numpy(np.take_along_axis(Dh, order, axis=1), w[order])
         CW, CWD = CW.ravel(), CWD.ravel()
         cs = costs[rest]
         k = supp.size
@@ -629,25 +634,19 @@ def _radii_from_sorted(
 
     The one shared kernel stack behind :func:`radii_for_object` and both
     :func:`radii_for_objects` sweeps: cumulative sums (``SW`` may be
-    consumed), the write-radius prefix and the storage-radius search --
-    each resolved through :func:`repro.kernels.dispatch`, so the same
-    call sites run the numpy reference or its bit-identical compiled
-    twin depending on the active kernel mode.  Keeping the stack
-    single-sourced is what keeps the bit-parity contract between the
-    per-object and batched paths a structural property.  ``integral``
-    (every weight an integer count) lets the numpy storage kernel solve
-    each row at its crossing breakpoint instead of bisecting it.
+    consumed), the write-radius prefix and the storage-radius search of
+    :mod:`repro.kernels`.  Keeping the stack single-sourced is what
+    keeps the bit-parity contract between the per-object and batched
+    paths a structural property.  ``integral`` (every weight an integer
+    count) lets the storage kernel solve each row at its crossing
+    breakpoint instead of bisecting it.
     """
-    CW, CWD = dispatch("radii_cums")(SD, SW)
+    CW, CWD = _radii_cums_numpy(SD, SW)
     if total_writes > 0:
         b = SD.shape[0]
         z = np.full(b, float(total_writes))
-        rw = dispatch("radii_prefix")(SD, CW, CWD, z, total) / total_writes
+        rw = _prefix_rows_numpy(SD, CW, CWD, z, total) / total_writes
     else:
         rw = np.zeros(SD.shape[0])
-    storage = dispatch("radii_storage")
-    if integral and active_impl("radii_storage") == "numpy":
-        rs, zs = storage(SD, CW, CWD, costs, total, integral=True)
-    else:  # the compiled twin bisects every row, to the same (rs, zs)
-        rs, zs = storage(SD, CW, CWD, costs, total)
+    rs, zs = _storage_radii_rows_numpy(SD, CW, CWD, costs, total, integral=integral)
     return rw, rs, zs

@@ -28,22 +28,17 @@ around that observation without changing a single placement decision:
   :func:`~repro.core.approx.phase3_delete_copies`), so the engine's copy
   sets are identical to the loop's -- bit-for-bit on integer request
   counts; the property suite asserts this.
-* **Parallel execution.**  ``jobs > 1`` fans object chunks out over a
-  process pool (pinned multiprocessing context).  The instance ships
-  once: via :mod:`repro.shm` the dense closure / CSR adjacency and
-  frequency matrices are published to shared memory and every worker
-  attaches zero-copy read-only views (a few-hundred-byte handle per
-  worker instead of an ``O(n^2)`` pickle); where shared memory is
-  unavailable the initializer pickle path of old is kept
-  (:class:`~repro.graphs.backend.LazyMetric` pickles as its ``O(n + m)``
-  adjacency, dropping its row cache).  Each worker keeps its own warm
-  row cache across all chunks it processes, and results merge in chunk
-  order -- the outcome is independent of ``jobs``, ``chunk_size`` and
-  the transport.
-* **Compiled kernels.**  The hot loops (radii prefix sums, phase 2/3
-  sweeps, backend reductions) dispatch through :mod:`repro.kernels`:
-  numba-compiled when importable, the bit-identical numpy reference
-  otherwise -- selected by the ``kernels`` knob, never changing results.
+* **Parallel execution.**  ``jobs > 1`` fans object chunks (or, for
+  :meth:`PlacementEngine.place_sharded`, ``(shard, chunk)`` tasks) out
+  over one process pool (:func:`publish_instance`).  Each worker gets
+  the instance once, through the pool initializer: under ``fork`` (the
+  pinned context wherever the platform offers it) the worker inherits
+  it and nothing is pickled; under ``spawn`` (macOS, Windows) each
+  worker unpickles it -- ``O(n^2)`` bytes for a dense closure,
+  ``O(n + m)`` for a :class:`~repro.graphs.backend.LazyMetric`, which
+  drops its row cache.  Each worker keeps its own warm row cache across
+  all chunks it processes, and results merge in task order -- the
+  outcome is independent of ``jobs`` and ``chunk_size``.
 * **Streaming.**  :meth:`PlacementEngine.stream` yields
   ``(object, copies)`` pairs chunk by chunk for callers that persist or
   bill placements incrementally and never want the whole catalog's
@@ -64,11 +59,12 @@ which equals ``approximate_placement(instance)`` on every object.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing as mp
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator, Sequence
+from contextlib import closing
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,10 +81,8 @@ from .facility import FL_SOLVERS
 from .graphs.backend import PortalMetric
 from .graphs.metric import Metric
 from .graphs.partition import Partition
-from .kernels import KERNEL_MODES, kernel_mode
-from .shm import publish_instance
 
-__all__ = ["PlacementEngine", "place_catalog", "DEFAULT_CHUNK_SIZE"]
+__all__ = ["PlacementEngine", "place_catalog", "publish_instance", "DEFAULT_CHUNK_SIZE"]
 
 #: Objects per chunk: each chunk holds three ``(chunk, n)`` radii arrays
 #: plus per-object facility scratch, so 512 keeps a 10k-node network's
@@ -113,18 +107,6 @@ class PlacementEngine:
         distributes chunks over a pool.  Does not affect results.
     radii_block:
         Node-block size of the shared radii sweep (memory/batching knob).
-    shared_memory:
-        With ``jobs > 1``, publish the instance's arrays into
-        :mod:`multiprocessing.shared_memory` once (:mod:`repro.shm`) so
-        workers attach zero-copy instead of unpickling the whole
-        instance per process.  Falls back to the pickle path silently
-        when shared memory is unavailable; never affects results.
-    kernels:
-        Hot-loop dispatch mode (:data:`repro.kernels.KERNEL_MODES`):
-        ``"auto"`` uses the compiled numba kernels when importable,
-        ``"numpy"`` forces the reference implementations, ``"numba"``
-        requests the compiled path (degrading to numpy with a
-        provenance note if numba is absent).  Bit-identical either way.
     """
 
     def __init__(
@@ -138,8 +120,6 @@ class PlacementEngine:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         jobs: int = 1,
         radii_block: int = DEFAULT_RADII_BLOCK,
-        shared_memory: bool = True,
-        kernels: str = "auto",
     ) -> None:
         if fl_solver not in FL_SOLVERS:
             raise ValueError(
@@ -151,10 +131,6 @@ class PlacementEngine:
             raise ValueError("jobs must be positive")
         if radii_block < 1:
             raise ValueError("radii_block must be positive")
-        if kernels not in KERNEL_MODES:
-            raise ValueError(
-                f"unknown kernels mode {kernels!r}; choose from {KERNEL_MODES}"
-            )
         self.instance = instance
         self.fl_solver = fl_solver
         self.phase2 = phase2
@@ -163,11 +139,6 @@ class PlacementEngine:
         self.chunk_size = int(chunk_size)
         self.jobs = int(jobs)
         self.radii_block = int(radii_block)
-        self.shared_memory = bool(shared_memory)
-        self.kernels = kernels
-        #: Whether the last parallel run shipped the instance via shared
-        #: memory (``None`` until a ``jobs > 1`` stream actually runs).
-        self.used_shared_memory: bool | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -195,8 +166,6 @@ class PlacementEngine:
             chunk_size=self.chunk_size,
             jobs=self.jobs,
             radii_block=self.radii_block,
-            shared_memory=self.shared_memory,
-            kernels=self.kernels,
         )
 
     def for_instance(self, instance: DataManagementInstance) -> "PlacementEngine":
@@ -213,13 +182,8 @@ class PlacementEngine:
         This is the batched kernel: phase 1 runs per object on its
         support-restricted facility problem, the radii of all live
         objects come from one shared sweep, and phases 2/3 consume those
-        rows -- dispatched under this engine's ``kernels`` mode.  Every
-        decision matches the per-object loop.
+        rows.  Every decision matches the per-object loop.
         """
-        with kernel_mode(self.kernels):
-            return self._place_objects(objects)
-
-    def _place_objects(self, objects: Sequence[int]) -> list[tuple[int, ...]]:
         inst = self.instance
         metric = inst.metric
         objs = [int(o) for o in objects]
@@ -323,63 +287,44 @@ class PlacementEngine:
             for chunk in chunks:
                 yield from zip(chunk, self.place_objects(chunk))
             return
-        kwargs = dict(
-            fl_solver=self.fl_solver,
-            phase2=self.phase2,
-            phase3=self.phase3,
-            facility_candidates=self.facility_candidates,
-            chunk_size=self.chunk_size,
-            radii_block=self.radii_block,
-            kernels=self.kernels,
-        )
-        # Publish the instance's arrays into shared memory once, so the
-        # pool initializer ships a few-hundred-byte handle instead of the
-        # whole pickled instance; `shared` stays None (pickle path) when
-        # shm is unavailable or the metric isn't shareable.
-        shared = publish_instance(self.instance) if self.shared_memory else None
-        self.used_shared_memory = shared is not None
-        if shared is not None:
-            initializer, initargs = _engine_worker_init_shm, (shared.handle, kwargs)
-        else:
-            initializer, initargs = _engine_worker_init, (self.instance, kwargs)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                mp_context=_pool_context(),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                # Chunks are submitted through a bounded window (2 per worker)
-                # and consumed in submission order, so the merge is
-                # deterministic, at most a window's worth of results is ever
-                # buffered, and a caller that stops iterating early leaves
-                # only the in-flight window to drain -- not the whole catalog.
-                window = 2 * min(self.jobs, len(chunks))
-                pending: deque = deque()
-                it = iter(chunks)
-                try:
-                    for c in it:
-                        pending.append((c, pool.submit(_engine_worker_place, c)))
-                        if len(pending) >= window:
-                            break
-                    while pending:
-                        chunk_objs, fut = pending.popleft()
-                        chunk = fut.result()
-                        nxt = next(it, None)
-                        if nxt is not None:
-                            pending.append(
-                                (nxt, pool.submit(_engine_worker_place, nxt))
-                            )
-                        yield from zip(chunk_objs, chunk)
-                finally:
-                    for _, fut in pending:
-                        fut.cancel()
-        finally:
-            # The owner unlinks exactly once, after the pool has shut
-            # down (the `with` block waits), so no blocks outlive an
-            # early-exiting consumer.
-            if shared is not None:
-                shared.close()
+        tasks = [(chunk,) for chunk in chunks]
+        with closing(self._pool_map(_engine_worker_place, tasks)) as done:
+            for (chunk,), copies in done:
+                yield from zip(chunk, copies)
+
+    def _pool_map(
+        self,
+        fn: Callable,
+        tasks: list[tuple],
+        partition: Partition | None = None,
+    ) -> Iterator[tuple[tuple, object]]:
+        """Yield ``(task, fn(*task))`` for every task, in task order, from
+        a pool of at most ``jobs`` workers.
+
+        Tasks are submitted through a bounded window (two per worker)
+        and consumed in submission order, so the merge is deterministic,
+        at most a window's worth of results is ever buffered, and a
+        caller that stops iterating early leaves only the in-flight
+        window to drain -- the queued tasks are cancelled, and the pool
+        shuts down when the generator closes.
+        """
+        workers = min(self.jobs, len(tasks))
+        kwargs = {**self.config.engine_kwargs(), "jobs": 1}  # workers run in-process
+        with publish_instance(self.instance, kwargs, workers, partition) as pool:
+            pending: deque = deque()
+            todo = iter(tasks)
+            try:
+                for task in islice(todo, 2 * workers):
+                    pending.append((task, pool.submit(fn, *task)))
+                while pending:
+                    task, fut = pending.popleft()
+                    result = fut.result()
+                    for nxt in islice(todo, 1):
+                        pending.append((nxt, pool.submit(fn, *nxt)))
+                    yield task, result
+            finally:
+                for _, fut in pending:
+                    fut.cancel()
 
     def place(self) -> Placement:
         """Place every object of the catalog; equals the per-object loop."""
@@ -477,21 +422,20 @@ class PlacementEngine:
         # another shard already hosts a nearby copy.
         dropped = 0
         if spanning and self.phase3:
-            with kernel_mode(self.kernels):
-                for start in range(0, len(spanning), self.chunk_size):
-                    batch = spanning[start:start + self.chunk_size]
-                    RW, _, _ = radii_for_objects(
-                        inst.metric,
-                        inst.storage_costs,
-                        inst.read_freq[batch],
-                        inst.write_freq[batch],
-                        block_size=self.radii_block,
-                    )
-                    for k, o in enumerate(batch):
-                        before = sorted(union[o])
-                        after = phase3_delete_copies(inst.metric, before, RW[k])
-                        dropped += len(before) - len(after)
-                        union[o] = set(after)
+            for start in range(0, len(spanning), self.chunk_size):
+                batch = spanning[start:start + self.chunk_size]
+                RW, _, _ = radii_for_objects(
+                    inst.metric,
+                    inst.storage_costs,
+                    inst.read_freq[batch],
+                    inst.write_freq[batch],
+                    block_size=self.radii_block,
+                )
+                for k, o in enumerate(batch):
+                    before = sorted(union[o])
+                    after = phase3_delete_copies(inst.metric, before, RW[k])
+                    dropped += len(before) - len(after)
+                    union[o] = set(after)
 
         for o in range(m):
             if results[o] is None:
@@ -524,82 +468,16 @@ class PlacementEngine:
             for s, chunk in tasks:
                 if s not in cache:
                     sub, view = _shard_subproblem(self.instance, portal_metric, s)
-                    cache[s] = (self._shard_engine(sub), view)
+                    cache[s] = (self.for_instance(sub), view)
                 engine, view = cache[s]
                 copies = engine.place_objects(chunk)
                 outputs.append([tuple(int(view[c]) for c in cs) for cs in copies])
             return outputs
 
-        kwargs = dict(
-            fl_solver=self.fl_solver,
-            phase2=self.phase2,
-            phase3=self.phase3,
-            facility_candidates=self.facility_candidates,
-            chunk_size=self.chunk_size,
-            radii_block=self.radii_block,
-            kernels=self.kernels,
-        )
-        shared = publish_instance(self.instance) if self.shared_memory else None
-        self.used_shared_memory = shared is not None
-        if shared is not None:
-            initializer = _engine_worker_init_shm_sharded
-            initargs = (shared.handle, kwargs, partition)
-        else:
-            initializer = _engine_worker_init_sharded
-            initargs = (self.instance, kwargs, partition)
-        outputs = [None] * len(tasks)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(tasks)),
-                mp_context=_pool_context(),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                # Same bounded submission window as the chunk stream;
-                # tasks are shard-major so a worker's per-shard
-                # subproblem cache gets consecutive hits.
-                window = 2 * min(self.jobs, len(tasks))
-                pending: deque = deque()
-                it = iter(enumerate(tasks))
-                try:
-                    for i, (s, chunk) in it:
-                        pending.append(
-                            (i, pool.submit(_engine_worker_place_shard, s, chunk))
-                        )
-                        if len(pending) >= window:
-                            break
-                    while pending:
-                        i, fut = pending.popleft()
-                        outputs[i] = fut.result()
-                        nxt = next(it, None)
-                        if nxt is not None:
-                            j, (s, chunk) = nxt
-                            pending.append(
-                                (j, pool.submit(_engine_worker_place_shard, s, chunk))
-                            )
-                finally:
-                    for _, fut in pending:
-                        fut.cancel()
-        finally:
-            if shared is not None:
-                shared.close()
-        return outputs  # type: ignore[return-value]
-
-    def _shard_engine(self, sub: DataManagementInstance) -> "PlacementEngine":
-        """An in-process engine for one shard subproblem (the fan-out
-        already happened at the shard level)."""
-        return PlacementEngine(
-            sub,
-            fl_solver=self.fl_solver,
-            phase2=self.phase2,
-            phase3=self.phase3,
-            facility_candidates=self.facility_candidates,
-            chunk_size=self.chunk_size,
-            jobs=1,
-            radii_block=self.radii_block,
-            shared_memory=False,
-            kernels=self.kernels,
-        )
+        # tasks are shard-major, so a worker's per-shard subproblem cache
+        # gets consecutive hits
+        done = self._pool_map(_engine_worker_place_shard, tasks, partition)
+        return [copies for _, copies in done]
 
 
 def place_catalog(
@@ -612,8 +490,6 @@ def place_catalog(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     jobs: int = 1,
     radii_block: int = DEFAULT_RADII_BLOCK,
-    shared_memory: bool = True,
-    kernels: str = "auto",
 ) -> Placement:
     """One-call catalog placement with an explicit, typed knob set.
 
@@ -632,8 +508,6 @@ def place_catalog(
         chunk_size=chunk_size,
         jobs=jobs,
         radii_block=radii_block,
-        shared_memory=shared_memory,
-        kernels=kernels,
     )
     return PlacementEngine.from_config(instance, config).place()
 
@@ -670,13 +544,11 @@ def _shard_subproblem(
 
 
 # ----------------------------------------------------------------------
-# worker plumbing: the instance ships once per worker -- as a zero-copy
-# shared-memory handle when available, as the initializer pickle
-# otherwise -- and each chunk task carries only its object indices (a
+# worker plumbing: the instance reaches each worker once, through the
+# pool initializer, and each task carries only its object indices (a
 # range for full catalogs, an explicit list for sparse subsets).
 # ----------------------------------------------------------------------
 _WORKER_ENGINE: PlacementEngine | None = None
-_WORKER_ATTACHED = None  # keeps the worker's shm segments mapped
 _WORKER_SHARDED: dict | None = None  # partition + per-shard subproblem cache
 
 
@@ -685,56 +557,63 @@ def _pool_context() -> mp.context.BaseContext:
 
     Explicit rather than platform-default so fork/spawn behavior is
     deterministic: ``fork`` where the platform offers it (cheap worker
-    start-up, the engine ships no state through inherited globals),
-    ``spawn`` elsewhere (macOS/Windows).
+    start-up, and the initializer's arguments are inherited rather than
+    pickled), ``spawn`` elsewhere (macOS/Windows).
     """
     method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     return mp.get_context(method)
 
 
-def _engine_worker_init(instance: DataManagementInstance, kwargs: dict) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = PlacementEngine(instance, jobs=1, **kwargs)
+def publish_instance(
+    instance: DataManagementInstance,
+    kwargs: dict,
+    workers: int,
+    partition: Partition | None = None,
+) -> ProcessPoolExecutor:
+    """Open the engine's worker pool: ``workers`` processes, each holding
+    ``instance`` and an in-process engine built from ``kwargs``.
+
+    Both fan-outs open their pool here: the chunk stream, and the shard
+    tasks of :meth:`PlacementEngine.place_sharded`, which also pass the
+    ``partition``.  The instance travels as an initializer argument.
+    Under ``fork`` a worker inherits it from the parent's memory and
+    nothing is pickled; under ``spawn`` each worker unpickles it once,
+    ``O(n^2)`` bytes for a dense closure and ``O(n + m)`` for a
+    :class:`~repro.graphs.backend.LazyMetric`, whose pickle drops its
+    row cache.  Workers start at the first submit, so opening the pool
+    is cheap.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=_pool_context(),
+        initializer=_engine_worker_init,
+        initargs=(instance, kwargs, partition),
+    )
 
 
-def _engine_worker_init_shm(handle, kwargs: dict) -> None:
-    """Pool initializer for the zero-copy path: attach read-only views
-    onto the owner's shared-memory blocks instead of unpickling the
-    instance.  The attachment is kept alive for the worker's lifetime
-    and unmapped (never unlinked -- that's the owner's job) at exit."""
-    global _WORKER_ENGINE, _WORKER_ATTACHED
-    attached = handle.attach()
-    _WORKER_ATTACHED = attached
-    atexit.register(attached.close)
-    _WORKER_ENGINE = PlacementEngine(attached.instance, jobs=1, **kwargs)
+def _engine_worker_init(
+    instance: DataManagementInstance,
+    kwargs: dict,
+    partition: Partition | None = None,
+) -> None:
+    """Pool initializer: the worker's engine, plus -- for the shard
+    fan-out -- the partition; the portal metric and per-shard
+    subproblems build lazily and stay cached for the worker's lifetime."""
+    global _WORKER_ENGINE, _WORKER_SHARDED
+    _WORKER_ENGINE = PlacementEngine(instance, **kwargs)
+    _WORKER_SHARDED = (
+        None if partition is None
+        else {"partition": partition, "portal_metric": None, "subs": {}}
+    )
 
 
 def _engine_worker_place(objects: Sequence[int]) -> list[tuple[int, ...]]:
     if _WORKER_ENGINE is None:
         raise RuntimeError(
             "engine worker pool not initialized: _engine_worker_place must "
-            "run in a process prepared by _engine_worker_init / "
-            "_engine_worker_init_shm"
+            "run in a process prepared by _engine_worker_init"
         )
     return _WORKER_ENGINE.place_objects(objects)
-
-
-def _engine_worker_init_sharded(
-    instance: DataManagementInstance, kwargs: dict, partition: Partition
-) -> None:
-    """Pickle-path initializer for the shard fan-out: the base worker
-    setup plus the partition; portal metric and per-shard subproblems
-    build lazily and stay cached for the worker's lifetime."""
-    _engine_worker_init(instance, kwargs)
-    global _WORKER_SHARDED
-    _WORKER_SHARDED = {"partition": partition, "portal_metric": None, "subs": {}}
-
-
-def _engine_worker_init_shm_sharded(handle, kwargs: dict, partition: Partition) -> None:
-    """Zero-copy initializer for the shard fan-out (shm attach + partition)."""
-    _engine_worker_init_shm(handle, kwargs)
-    global _WORKER_SHARDED
-    _WORKER_SHARDED = {"partition": partition, "portal_metric": None, "subs": {}}
 
 
 def _engine_worker_place_shard(
@@ -746,7 +625,7 @@ def _engine_worker_place_shard(
         raise RuntimeError(
             "engine worker pool not initialized for sharded dispatch: "
             "_engine_worker_place_shard must run in a process prepared by "
-            "_engine_worker_init_sharded / _engine_worker_init_shm_sharded"
+            "_engine_worker_init with a partition"
         )
     ctx = _WORKER_SHARDED
     if ctx["portal_metric"] is None:

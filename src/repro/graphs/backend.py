@@ -46,7 +46,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from ..kernels import dispatch
 from .metric import Metric, graph_to_adjacency
 
 __all__ = [
@@ -333,7 +332,7 @@ class LazyMetric:
         if idx.size == 0:
             return np.full(self.n, np.inf)
         if idx.size <= _SMALL_TARGET_SET:
-            return dispatch("dist_reduce")(self.rows(idx))
+            return self.rows(idx).min(axis=0)
         return dijkstra(self._adj, directed=False, indices=idx, min_only=True)
 
     def nearest_in_set(self, targets: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +342,8 @@ class LazyMetric:
         if idx.size <= _SMALL_TARGET_SET:
             sub = self.rows(idx)  # (k, n)
             # column-wise argmin (first = smallest-index minimiser wins)
-            return dispatch("nearest_reduce")(sub, idx)
+            arg = sub.argmin(axis=0)
+            return idx[arg], sub[arg, np.arange(self.n)]
         dist, _, sources = dijkstra(
             self._adj, directed=False, indices=idx,
             min_only=True, return_predecessors=True,
@@ -508,13 +508,15 @@ class PortalMetric:
         idx = np.fromiter(targets, dtype=int)
         if idx.size == 0:
             return np.full(self.n, np.inf)
-        return dispatch("dist_reduce")(self.rows(idx))
+        return self.rows(idx).min(axis=0)
 
     def nearest_in_set(self, targets: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         idx = np.unique(np.fromiter(targets, dtype=int))
         if idx.size == 0:
             raise ValueError("targets must be non-empty")
-        return dispatch("nearest_reduce")(self.rows(idx), idx)
+        sub = self.rows(idx)
+        arg = sub.argmin(axis=0)
+        return idx[arg], sub[arg, np.arange(self.n)]
 
     def matvec(self, weights: np.ndarray, *, block_size: int = 128) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)

@@ -1,88 +1,33 @@
-"""Compiled hot kernels behind a tiny dispatch registry.
+"""The numpy kernels of the Section 2 hot loops.
 
-Profiling the catalog pipeline shows a handful of inner loops dominating
-wall clock once the algorithmic batching (chunked engine, shared radii
-sweep, lazy backend) is in place:
+Each function here is one vectorized inner loop of the placement
+pipeline, split out so the radii sweep, the per-object loop and the
+catalog engine all run the same arithmetic:
 
-* the radii prefix-sum state (``cumsum`` rows) and the vectorized
-  breakpoint searches of :mod:`repro.core.radii`,
-* the phase 2 nearest-copy sweep and the phase 3 chunked deletion sweep
-  of :mod:`repro.core.approx`,
-* :class:`~repro.graphs.backend.LazyMetric`'s small-set reductions
-  (``nearest_in_set`` / ``dist_to_set`` argmin/min over a row block; the
-  batched Dijkstra row *expansion* itself already runs compiled inside
-  scipy and needs no help here).
+* the radii prefix-sum state (:func:`_radii_cums_numpy`), the
+  per-row prefix ``P_v(z)`` (:func:`_prefix_rows_numpy`) and the
+  storage-radius search (:func:`_storage_radii_rows_numpy`, which
+  solves integer-count rows at their crossing breakpoint,
+  :func:`_storage_crossing`) of :mod:`repro.core.radii`;
+* the phase-2 nearest-copy sweep (:func:`_phase2_sweep_numpy`) and the
+  phase-3 chunked deletion sweep (:func:`_phase3_sweep_numpy`) of
+  :mod:`repro.core.approx`.
 
-This module holds, for each such kernel, the **numpy reference
-implementation** (the tested source of truth -- the exact arithmetic the
-rest of the library was validated against) and, when `numba
-<https://numba.pydata.org>`_ is importable, an ``@njit(cache=True)``
-twin that replays the identical operations in the identical order, so
-the two are *bit-identical* -- never "close enough".  The property suite
-(``tests/test_kernels.py``) asserts exact equality on every kernel.
-
-Dispatch
---------
-Callers fetch the active implementation through :func:`dispatch`::
-
-    radii_cums = dispatch("radii_cums")
-    CW, CWD = radii_cums(SD, SW)
-
-Which implementation is active follows the *kernel mode*:
-
-``"auto"``
-    numba when importable, numpy otherwise (the default).
-``"numpy"``
-    always the reference implementation.
-``"numba"``
-    request the compiled path; **degrades to numpy with a provenance
-    note** when numba is missing (an absent accelerator must never turn
-    into an ``ImportError`` at placement time -- the CI fallback leg
-    runs exactly this configuration).
-
-The mode is process-global (:func:`set_kernel_mode`), with a
-:func:`kernel_mode` context manager for scoped overrides -- that is how
-:class:`repro.engine.PlacementEngine` applies its ``kernels`` knob
-around each batch without threading a parameter through every helper
-signature.  :func:`kernel_provenance` reports the requested mode, numba
-availability and the per-kernel active implementation; strategies embed
-it in :class:`~repro.api.PlanReport` extras.
-
-Why bit-identity is feasible: numpy's ``cumsum``/``add.accumulate`` is a
-*sequential* left-to-right accumulation (not pairwise), numba compiles
-without fastmath by default (strict IEEE-754, no FMA contraction or
-reassociation), and every search/threshold below is a pure comparison.
-Replaying the same operations in the same order therefore produces the
-same bits, which is what lets the fast path be a pure wall-clock choice
-with zero numerical surface.  One reference takes a shortcut its twin
-does not: with integer request counts the storage-radius kernel solves
-each row at its crossing breakpoint instead of bisecting, and the twin
-keeps bisecting.  They still agree bit for bit, because the crossing is
-accepted only where the bisection's own prefix arithmetic confirms it
-(see :func:`_storage_crossing`).
+Every kernel replays its scalar specification in
+:mod:`repro.core.radii` / :mod:`repro.core.approx` bit for bit: numpy's
+``cumsum`` accumulates left to right, and every search and threshold is
+a pure comparison.  ``tests/test_kernels.py`` checks each kernel
+against a scalar reference, and ``tests/test_decisions_pinned.py``
+checks the crossing search against the full bisection.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
 
-__all__ = [
-    "KERNEL_MODES",
-    "PHASE2_FACTOR",
-    "KERNEL_NAMES",
-    "dispatch",
-    "get_kernel_mode",
-    "set_kernel_mode",
-    "kernel_mode",
-    "kernel_provenance",
-    "numba_available",
-]
-
-#: Valid values of the ``kernels`` knob (:class:`repro.config.PlanConfig`).
-KERNEL_MODES = ("auto", "numpy", "numba")
+__all__ = ["PHASE2_FACTOR"]
 
 #: Phase 2's threshold (Section 2.2): a node whose nearest copy is
 #: farther than ``PHASE2_FACTOR * rs(v)`` stores a copy.  Phase 2 and the
@@ -91,9 +36,6 @@ KERNEL_MODES = ("auto", "numpy", "numba")
 PHASE2_FACTOR = 5.0
 
 
-# ----------------------------------------------------------------------
-# numpy reference implementations
-# ----------------------------------------------------------------------
 def _radii_cums_numpy(SD: np.ndarray, SW: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise cumulative weights / weighted distances of sorted state.
 
@@ -142,8 +84,8 @@ def _storage_radii_rows_numpy(
     ``integral`` says every request weight is an integer count.  Then
     the storage number is solved at each row's crossing breakpoint (see
     :func:`_storage_crossing`) and only rows that check fails keep the
-    per-row bisection; fractional weights bisect every row.  The
-    compiled twin always bisects, which returns the same ``(rs, zs)``.
+    per-row bisection; fractional weights bisect every row.  Both
+    return the same ``(rs, zs)``.
     """
     b = SD.shape[0]
     n_req = int(math.ceil(total))
@@ -292,290 +234,3 @@ def _phase3_sweep_numpy(
         doomed = alive & (rows[r] <= u_bound)
         doomed[i] = False
         alive[doomed] = False
-
-
-def _nearest_reduce_numpy(
-    sub: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise argmin reduction of a ``(k, n)`` row block: per node,
-    the nearest target (first = smallest-index minimiser) and its
-    distance."""
-    arg = sub.argmin(axis=0)
-    return idx[arg], sub[arg, np.arange(sub.shape[1])]
-
-
-def _dist_reduce_numpy(sub: np.ndarray) -> np.ndarray:
-    """Column-wise min reduction of a ``(k, n)`` row block."""
-    return sub.min(axis=0)
-
-
-#: Kernel name -> numpy reference implementation (always present).
-_NUMPY_IMPLS = {
-    "radii_cums": _radii_cums_numpy,
-    "radii_prefix": _prefix_rows_numpy,
-    "radii_storage": _storage_radii_rows_numpy,
-    "phase2_sweep": _phase2_sweep_numpy,
-    "phase3_sweep": _phase3_sweep_numpy,
-    "nearest_reduce": _nearest_reduce_numpy,
-    "dist_reduce": _dist_reduce_numpy,
-}
-
-#: The registry's kernel names, for introspection and tests.
-KERNEL_NAMES = tuple(sorted(_NUMPY_IMPLS))
-
-
-# ----------------------------------------------------------------------
-# numba implementations (built lazily, only if numba imports)
-# ----------------------------------------------------------------------
-_NUMBA_IMPLS: dict = {}
-_NUMBA_STATE: bool | None = None  # None = not probed yet
-
-
-def numba_available() -> bool:
-    """True when the numba accelerator can be imported (cached probe)."""
-    global _NUMBA_STATE
-    if _NUMBA_STATE is None:
-        try:
-            _build_numba_impls()
-            _NUMBA_STATE = True
-        except Exception:  # ImportError and any jit-decoration failure
-            _NUMBA_STATE = False
-            _NUMBA_IMPLS.clear()
-    return _NUMBA_STATE
-
-
-def _build_numba_impls() -> None:
-    """Define and register the ``@njit`` twins (raises if numba is absent).
-
-    Every function below replays its numpy reference operation-for-
-    operation: sequential accumulation for the cumsums, the same
-    searchsorted index, the same branch structure in the binary search
-    and interval arithmetic.  No ``fastmath``, so the compiled code is
-    IEEE-strict and the outputs match the reference bit for bit.
-    """
-    from numba import njit
-
-    @njit(cache=True)
-    def radii_cums(SD, SW):
-        b, k = SD.shape
-        CW = np.empty((b, k))
-        CWD = np.empty((b, k))
-        for r in range(b):
-            aw = 0.0
-            awd = 0.0
-            for j in range(k):
-                w = SW[r, j]
-                aw += w
-                awd += w * SD[r, j]
-                CW[r, j] = aw
-                CWD[r, j] = awd
-        return CW, CWD
-
-    @njit(cache=True)
-    def _prefix_one(sd, cw, cwd, z, total):
-        # scalar P_v(z), identical to radii._prefix_from_cums
-        if z <= 0.0:
-            return 0.0
-        if z > total:
-            z = total
-        i = np.searchsorted(cw, z)
-        if i >= sd.size:
-            i = sd.size - 1
-        prev_w = cw[i - 1] if i > 0 else 0.0
-        prev_wd = cwd[i - 1] if i > 0 else 0.0
-        return prev_wd + (z - prev_w) * sd[i]
-
-    @njit(cache=True)
-    def radii_prefix(SD, CW, CWD, z, total):
-        b = SD.shape[0]
-        out = np.empty(b)
-        for r in range(b):
-            out[r] = _prefix_one(SD[r], CW[r], CWD[r], z[r], total)
-        return out
-
-    @njit(cache=True)
-    def radii_storage(SD, CW, CWD, costs, total):
-        b = SD.shape[0]
-        rs = np.empty(b)
-        zs = np.empty(b, np.int64)
-        n_req = int(math.ceil(total))
-        if n_req == 0:
-            for r in range(b):
-                rs[r] = np.inf
-                zs[r] = max(n_req, 1)
-            return rs, zs
-        for r in range(b):
-            sd = SD[r]
-            cw = CW[r]
-            cwd = CWD[r]
-            cost = costs[r]
-            if _prefix_one(sd, cw, cwd, total, total) <= cost:
-                rs[r] = np.inf
-                zs[r] = max(n_req, 1)
-                continue
-            lo = 1
-            hi = n_req
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _prefix_one(sd, cw, cwd, float(mid), total) > cost:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            z = lo
-            zm1 = max(z - 1, 1)
-            if z > 1:
-                d_lo = _prefix_one(sd, cw, cwd, float(z - 1), total) / zm1
-            else:
-                d_lo = 0.0
-            z_hi = min(float(z), total)
-            d_hi = _prefix_one(sd, cw, cwd, z_hi, total) / z_hi
-            lower = max(d_lo, cost / z)
-            upper = min(d_hi, cost / zm1) if z > 1 else d_hi
-            if upper < lower:
-                upper = lower
-            rs[r] = 0.5 * (lower + upper) if upper > lower else lower
-            zs[r] = z
-        return rs, zs
-
-    @njit(cache=True)
-    def phase2_sweep(dts, rs, dist):
-        n = dts.size
-        cand = np.empty(n, np.int64)
-        m = 0
-        for v in range(n):
-            if dts[v] > PHASE2_FACTOR * rs[v]:
-                cand[m] = v
-                m += 1
-        added = np.empty(m, np.int64)
-        cnt = 0
-        for t in range(m):
-            v = cand[t]
-            if dts[v] > PHASE2_FACTOR * rs[v]:
-                added[cnt] = v
-                cnt += 1
-                row = dist[v]
-                for j in range(n):
-                    if row[j] < dts[j]:
-                        dts[j] = row[j]
-        return added[:cnt]
-
-    @njit(cache=True)
-    def phase3_sweep(rows, live, u_bound, alive):
-        k = alive.size
-        for r in range(live.size):
-            i = live[r]
-            if not alive[i]:
-                continue
-            for j in range(k):
-                if alive[j] and j != i and rows[r, j] <= u_bound[j]:
-                    alive[j] = False
-
-    @njit(cache=True)
-    def nearest_reduce(sub, idx):
-        k, n = sub.shape
-        out_idx = np.empty(n, np.int64)
-        out_dist = np.empty(n)
-        for j in range(n):
-            best = sub[0, j]
-            bi = 0
-            for r in range(1, k):
-                v = sub[r, j]
-                if v < best:  # strict: the first minimiser wins, as argmin
-                    best = v
-                    bi = r
-            out_idx[j] = idx[bi]
-            out_dist[j] = best
-        return out_idx, out_dist
-
-    @njit(cache=True)
-    def dist_reduce(sub):
-        k, n = sub.shape
-        out = np.empty(n)
-        for j in range(n):
-            best = sub[0, j]
-            for r in range(1, k):
-                v = sub[r, j]
-                if v < best:
-                    best = v
-            out[j] = best
-        return out
-
-    _NUMBA_IMPLS.update(
-        radii_cums=radii_cums,
-        radii_prefix=radii_prefix,
-        radii_storage=radii_storage,
-        phase2_sweep=phase2_sweep,
-        phase3_sweep=phase3_sweep,
-        nearest_reduce=nearest_reduce,
-        dist_reduce=dist_reduce,
-    )
-
-
-# ----------------------------------------------------------------------
-# mode + dispatch
-# ----------------------------------------------------------------------
-_MODE = "auto"
-
-
-def get_kernel_mode() -> str:
-    """The process-global kernel mode (``auto`` | ``numpy`` | ``numba``)."""
-    return _MODE
-
-
-def set_kernel_mode(mode: str) -> str:
-    """Set the global kernel mode; returns the previous one."""
-    global _MODE
-    if mode not in KERNEL_MODES:
-        raise ValueError(f"unknown kernel mode {mode!r}; choose from {KERNEL_MODES}")
-    previous = _MODE
-    _MODE = mode
-    return previous
-
-
-@contextlib.contextmanager
-def kernel_mode(mode: str):
-    """Scoped kernel-mode override (restores the previous mode on exit)."""
-    previous = set_kernel_mode(mode)
-    try:
-        yield
-    finally:
-        set_kernel_mode(previous)
-
-
-def active_impl(name: str, mode: str | None = None) -> str:
-    """Which implementation (``"numpy"``/``"numba"``) a dispatch resolves to."""
-    if name not in _NUMPY_IMPLS:
-        raise KeyError(f"unknown kernel {name!r}; known: {KERNEL_NAMES}")
-    mode = _MODE if mode is None else mode
-    if mode in ("auto", "numba") and numba_available() and name in _NUMBA_IMPLS:
-        return "numba"
-    return "numpy"
-
-
-def dispatch(name: str, mode: str | None = None):
-    """The callable implementing kernel ``name`` under the given (or
-    current global) mode.  An explicit ``"numba"`` request without numba
-    degrades to the numpy reference -- never an import error."""
-    if active_impl(name, mode) == "numba":
-        return _NUMBA_IMPLS[name]
-    return _NUMPY_IMPLS[name]
-
-
-def kernel_provenance(mode: str | None = None) -> dict:
-    """Dispatch provenance for reports: requested mode, availability and
-    the per-kernel active implementation.
-
-    Embedded in :class:`~repro.api.PlanReport` extras so an artifact
-    records whether its numbers came from the compiled or the reference
-    path (and whether an explicit ``numba`` request silently degraded).
-    """
-    mode = _MODE if mode is None else mode
-    available = numba_available()
-    info = {
-        "mode": mode,
-        "numba_available": available,
-        "active": {name: active_impl(name, mode) for name in KERNEL_NAMES},
-    }
-    if mode == "numba" and not available:
-        info["note"] = "numba requested but not importable; using numpy reference"
-    return info

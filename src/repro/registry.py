@@ -194,29 +194,17 @@ def available_strategies() -> tuple[str, ...]:
 class KRWStrategy(PlacementStrategy):
     """The Section 2 approximation via the batched catalog engine.
 
-    ``extras`` records run provenance: the kernel dispatch report
-    (:func:`repro.kernels.kernel_provenance` under the config's
-    ``kernels`` mode), whether the parallel path shipped the instance
-    via shared memory, and -- on a lazy backend -- the row-cache
-    hit-rate statistics, so ``cache_rows`` sizing is observable from
-    plan output.
+    On a lazy backend ``extras`` records the row-cache hit-rate
+    statistics, so ``cache_rows`` sizing is observable from plan output.
     """
 
     name = "krw"
 
     def place(self, instance, config):
         from .graphs.backend import LazyMetric
-        from .kernels import kernel_provenance
 
-        engine = PlacementEngine.from_config(instance, config)
-        placement = engine.place()
-        extras = {
-            "kernels": kernel_provenance(config.kernels),
-            "shared_memory": {
-                "requested": config.shared_memory,
-                "used": engine.used_shared_memory,
-            },
-        }
+        placement = PlacementEngine.from_config(instance, config).place()
+        extras = {}
         if isinstance(instance.metric, LazyMetric):
             extras["row_cache"] = instance.metric.cache_stats()
         return placement, extras
@@ -234,9 +222,9 @@ class KRWShardedStrategy(PlacementStrategy):
     on the real metric.  ``partition="none"`` or ``num_shards=1``
     degenerates to the global ``krw`` solve bit-for-bit (property-tested).
 
-    ``extras`` carries the ``krw`` provenance plus a ``sharded`` block:
-    shard sizes, per-shard object counts, spanning objects, copies
-    dropped by the stitch, and aggregated backend cache stats.
+    ``extras`` carries a ``sharded`` block -- shard sizes, per-shard
+    object counts, spanning objects, copies dropped by the stitch, and
+    aggregated backend cache stats -- plus ``krw``'s row-cache stats.
     """
 
     name = "krw-sharded"
@@ -244,16 +232,9 @@ class KRWShardedStrategy(PlacementStrategy):
     def place(self, instance, config):
         from .graphs.backend import LazyMetric
         from .graphs.partition import partition_instance
-        from .kernels import kernel_provenance
 
         engine = PlacementEngine.from_config(instance, config)
-        extras = {
-            "kernels": kernel_provenance(config.kernels),
-            "shared_memory": {
-                "requested": config.shared_memory,
-                "used": engine.used_shared_memory,
-            },
-        }
+        extras = {}
         if config.partition == "none" or config.num_shards == 1:
             placement = engine.place()
             extras["sharded"] = {
@@ -272,7 +253,6 @@ class KRWShardedStrategy(PlacementStrategy):
             info["partition"] = config.partition
             info["degenerate"] = False
             extras["sharded"] = info
-        extras["shared_memory"]["used"] = engine.used_shared_memory
         if isinstance(instance.metric, LazyMetric):
             extras["row_cache"] = instance.metric.cache_stats()
         return placement, extras

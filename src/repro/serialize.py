@@ -23,6 +23,9 @@ Formats are chosen by suffix: ``*.npz`` (compact, binary-exact) or
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +52,7 @@ __all__ = [
     "ragged_from_arrays",
     "save_array_archive",
     "load_array_archive",
+    "open_archive",
     "canonical_payload",
     "canonical_json_dumps",
 ]
@@ -302,14 +306,44 @@ def save_array_archive(path, *, fmt: str, meta: dict, arrays: dict) -> None:
     )
 
 
+#: What reading a damaged ``*.npz`` raises: a truncated or non-zip file
+#: (``BadZipFile``), an empty one (``EOFError``), a corrupt member.
+_DAMAGED = (zipfile.BadZipFile, zlib.error, EOFError)
+
+
+@contextmanager
+def open_archive(path):
+    """Open an ``*.npz`` archive for reading (``allow_pickle=False``).
+
+    The one way this package reads an archive.  The file is opened here,
+    not by ``np.load``, so it is closed even when the archive turns out
+    to be unreadable (``np.load`` leaks its own handle when the zip
+    directory is damaged).  A damaged archive -- truncated, empty, not
+    an archive, or with a corrupt member -- raises ``ValueError`` naming
+    the path; a missing file raises ``FileNotFoundError``.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except (*_DAMAGED, ValueError) as exc:
+            raise _damaged(path, exc) from exc
+        with archive:
+            try:
+                yield archive
+            except _DAMAGED as exc:
+                raise _damaged(path, exc) from exc
+
+
+def _damaged(path: Path, exc: Exception) -> ValueError:
+    return ValueError(f"cannot read archive {path}: {type(exc).__name__}: {exc}")
+
+
 def load_array_archive(path, *, fmt: str) -> tuple[dict, dict]:
     """Read an archive written by :func:`save_array_archive`; returns
     ``(meta, arrays)`` with the format/version header checked."""
     path = Path(path)
-    # The file is opened here, not by np.load, so it is closed even when
-    # the archive turns out to be unreadable (np.load leaks its own
-    # handle when the zip directory is damaged).
-    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+    with open_archive(path) as archive:
         meta = json.loads(str(archive["meta"]))
         if meta.get("format") != fmt:
             raise ValueError(
@@ -352,7 +386,7 @@ def load_partition(path) -> Partition:
     path = Path(path)
     if artifact_suffix(path) == ".json":
         return partition_from_dict(json.loads(path.read_text()))
-    with np.load(path, allow_pickle=False) as archive:
+    with open_archive(path) as archive:
         meta = json.loads(str(archive["meta"]))
         if meta.get("format") != "repro-partition":
             raise ValueError(f"{path} is not a serialized partition")
@@ -396,7 +430,7 @@ def load_instance(path) -> DataManagementInstance:
     path = Path(path)
     if artifact_suffix(path) == ".json":
         return instance_from_dict(json.loads(path.read_text()))
-    with np.load(path, allow_pickle=False) as archive:
+    with open_archive(path) as archive:
         meta = json.loads(str(archive["meta"]))
         if meta.get("format") != "repro-instance":
             raise ValueError(f"{path} is not a serialized instance")

@@ -18,8 +18,6 @@ artifact uses.
 
 from __future__ import annotations
 
-import zipfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,9 +40,11 @@ __all__ = [
 
 _FORMAT = "repro-serve-checkpoint"
 
-#: What reading a damaged archive raises: a truncated or empty file, a
-#: corrupt member, a wrong header, a missing array or header key.
-_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError)
+#: What reading a damaged archive raises: ``ValueError`` for a truncated,
+#: empty or corrupt file (:func:`repro.serialize.open_archive`) or a
+#: wrong header, ``KeyError``/``TypeError`` for a missing array or header
+#: key.
+_UNREADABLE = (KeyError, TypeError, ValueError)
 
 
 class CheckpointError(ValueError):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..serialize import open_archive
 from ..simulate.events import KIND_READ, KIND_WRITE, RequestLog
 
 __all__ = ["read_spool_file", "write_spool_file", "spool_files"]
@@ -54,7 +55,7 @@ def read_spool_file(path) -> RequestLog:
     """Read one batch file back as a columnar log."""
     path = Path(path)
     if path.suffix == ".npz":
-        with np.load(path, allow_pickle=False) as archive:
+        with open_archive(path) as archive:
             meta = json.loads(str(archive["meta"]))
             if meta.get("format") != "repro-spool":
                 raise ValueError(f"{path} is not a spooled request batch")

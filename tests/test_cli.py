@@ -42,7 +42,10 @@ class TestList:
 
 class TestExperimentCommand:
     def test_registry_covers_all_runners(self):
-        assert set(EXPERIMENTS) == {f"E{i}" for i in range(1, 21)} | {"E10B"}
+        # E17 (worker transport and kernel dispatch) is retired
+        assert set(EXPERIMENTS) == (
+            {f"E{i}" for i in range(1, 21)} - {"E17"}
+        ) | {"E10B"}
 
     def test_unknown_experiment(self, capsys):
         out = io.StringIO()
@@ -175,8 +178,8 @@ class TestPlanCommand:
         assert report.placement.replication_degree() == 1.0
 
     def test_plan_prints_kernel_and_cache_provenance(self, tmp_path):
-        """`repro plan` surfaces the dispatch mode, worker transport and
-        (lazy backend) row-cache hit rate under the report line."""
+        """`repro plan` surfaces the (lazy backend) row-cache hit rate
+        under the report line, on a pooled run too."""
         import json
 
         cfg = tmp_path / "cfg.json"
@@ -184,13 +187,11 @@ class TestPlanCommand:
         out = io.StringIO()
         rc = main(
             ["plan", "--scenario", "tree", "--config", str(cfg),
-             "--kernels", "numpy", "--cache-rows", "16", "--jobs", "2"],
+             "--cache-rows", "16", "--jobs", "2"],
             out=out,
         )
         text = out.getvalue()
         assert rc == 0
-        assert "kernels: mode=numpy" in text
-        assert "shared memory: requested=True" in text
         assert "row cache:" in text and "cache_rows=16" in text
 
     def test_plan_sharded_strategy_with_shard_flags(self, tmp_path):

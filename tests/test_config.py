@@ -29,7 +29,7 @@ class TestValidation:
             (dict(replan_mode="partial"), "replan_mode"),
             (dict(replan_tolerance=-0.1), "replan_tolerance"),
             (dict(replan_tolerance=float("nan")), "replan_tolerance"),
-            (dict(kernels="fortran"), "kernels"),
+            (dict(portals_per_shard=0), "portals_per_shard"),
             (dict(cache_rows=0), "cache_rows"),
         ],
     )
@@ -85,34 +85,27 @@ class TestValidation:
         # the knobs ride the dict/file round trip like every other field
         assert PlanConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_transport_and_kernel_knobs(self):
-        from repro.config import KERNEL_MODES
+    def test_cache_rows_knob(self):
         from repro.graphs.backend import DEFAULT_CACHE_ROWS
 
-        assert set(KERNEL_MODES) == {"auto", "numpy", "numba"}
-        cfg = PlanConfig(shared_memory=False, kernels="numpy", cache_rows=7)
-        assert cfg.engine_kwargs()["shared_memory"] is False
-        assert cfg.engine_kwargs()["kernels"] == "numpy"
+        cfg = PlanConfig(cache_rows=7)
         # cache_rows sizes the LazyMetric the *planner* builds; the
         # engine never resizes an instance's own backend
         assert "cache_rows" not in cfg.engine_kwargs()
-        defaults = PlanConfig()
-        assert defaults.shared_memory is True
-        assert defaults.kernels == "auto"
-        assert defaults.cache_rows == DEFAULT_CACHE_ROWS
+        assert PlanConfig().cache_rows == DEFAULT_CACHE_ROWS
 
 
 class TestSerialization:
     def test_dict_round_trip(self):
         cfg = PlanConfig(fl_solver="greedy", jobs=3, seed=11,
                          facility_candidates=7, replan_mode="incremental",
-                         replan_tolerance=0.1, shared_memory=False,
-                         kernels="numpy", cache_rows=17)
+                         replan_tolerance=0.1, cache_rows=17)
         assert PlanConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(TypeError, match="chunk_sze"):
             PlanConfig.from_dict({"chunk_sze": 4})
+
 
     def test_json_file_round_trip(self, tmp_path):
         cfg = PlanConfig(chunk_size=32, phase3=False)
@@ -171,3 +164,28 @@ class TestEngineHandOff:
         # for_instance preserves the configuration
         clone = engine.for_instance(inst)
         assert clone.config.engine_kwargs() == cfg.engine_kwargs()
+
+
+class TestRetiredKnobs:
+    """Configs written while the worker-transport (``shared_memory``)
+    and kernel-dispatch (``kernels``) knobs existed still load."""
+
+    LEGACY = {"shared_memory": True, "kernels": "auto"}
+
+    def test_dropped_with_one_warning_naming_both(self):
+        data = {**PlanConfig(jobs=2, seed=5).to_dict(), **self.LEGACY}
+        with pytest.warns(DeprecationWarning) as record:
+            cfg = PlanConfig.from_dict(data)
+        assert cfg == PlanConfig(jobs=2, seed=5)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "shared_memory" in message and "kernels" in message
+
+    def test_one_retired_knob_alone(self):
+        with pytest.warns(DeprecationWarning, match="kernels"):
+            assert PlanConfig.from_dict({"kernels": "numpy"}) == PlanConfig()
+
+    def test_a_typo_still_raises_beside_them(self):
+        with pytest.warns(DeprecationWarning):
+            with pytest.raises(TypeError, match="chunk_sze"):
+                PlanConfig.from_dict({**self.LEGACY, "chunk_sze": 4})

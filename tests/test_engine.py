@@ -7,6 +7,7 @@ the batched-radii equality and the capacity-repair determinism the
 engine-era refactors rely on.
 """
 
+import multiprocessing as mp
 import pickle
 
 import numpy as np
@@ -175,6 +176,43 @@ class TestEngineStreaming:
         ctx = engine_mod._pool_context()
         expected = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         assert ctx.get_start_method() == expected
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_fork_pool_never_pickles_the_instance(self, monkeypatch):
+        """Under fork every worker inherits the instance: with the instance
+        made unpicklable, both fan-outs -- the chunk stream and the shard
+        tasks -- still run on the pool and place what the serial engine
+        places."""
+        import repro.engine as engine_mod
+        from repro.graphs import partition_instance
+
+        inst = _catalog_instance(11, n=30, num_objects=7)
+        part = partition_instance(inst, num_shards=3, portals_per_shard=2)
+        serial = PlacementEngine(inst, chunk_size=3)
+        expected = serial.place().copy_sets
+        expected_sharded = serial.place_sharded(part)[0].copy_sets
+
+        def refuse(self, protocol):
+            raise pickle.PicklingError("the instance was pickled")
+
+        pools = []
+
+        def publish(instance, kwargs, workers, partition=None):
+            pools.append(partition)
+            return real_publish(instance, kwargs, workers, partition)
+
+        real_publish = engine_mod.publish_instance
+        monkeypatch.setattr(engine_mod, "publish_instance", publish)
+        monkeypatch.setattr(DataManagementInstance, "__reduce_ex__", refuse)
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(inst)
+        pooled = PlacementEngine(inst, chunk_size=3, jobs=2)
+        assert pooled.place().copy_sets == expected
+        assert pooled.place_sharded(part)[0].copy_sets == expected_sharded
+        assert pools == [None, part]  # each fan-out opened one pool
 
     def test_stream_early_exit_serial(self):
         inst = _catalog_instance(9, num_objects=9)

@@ -1,127 +1,79 @@
-"""Tests for repro.kernels: dispatch, mode management, bit-parity.
+"""Tests for repro.kernels: each numpy kernel against a scalar reference.
 
-The registry's contract is that every implementation of a kernel is
-**bit-identical** to the numpy reference -- dispatch is a pure
-wall-clock choice with zero numerical surface.  The property tests here
-generate sorted radii state, sweep inputs and row blocks (including the
-empty-demand and single-node degenerations) and assert exact array
-equality between the reference and whatever ``auto`` resolves to; on a
-numba-less host that is a self-consistency check, with numba installed
-(the CI accelerator leg) it pins the compiled twins to the reference.
+Every kernel must return exactly -- bit for bit -- what its scalar
+specification returns: the per-node prefix and storage-radius functions
+of :mod:`repro.core.radii`, or a plain Python loop for the cumulative
+sums, the phase-2 and phase-3 sweeps and the backends' row-block
+reductions.  The property tests generate sorted radii state, sweep
+inputs and row blocks, including the degenerate inputs: zero-demand
+rows, one-node rows, integer and float32 distances and tied minima.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.radii import _prefix_from_cums, _storage_radius_from_cums
+from repro.graphs.backend import LazyMetric
+from repro.graphs.metric import Metric
 from repro.kernels import (
-    KERNEL_MODES,
-    KERNEL_NAMES,
-    active_impl,
-    dispatch,
-    get_kernel_mode,
-    kernel_mode,
-    kernel_provenance,
-    numba_available,
-    set_kernel_mode,
+    PHASE2_FACTOR,
+    _phase2_sweep_numpy,
+    _phase3_sweep_numpy,
+    _prefix_rows_numpy,
+    _radii_cums_numpy,
+    _storage_radii_rows_numpy,
 )
 
 seeds = st.integers(min_value=0, max_value=500)
 
 
-def _sorted_state(seed, *, b=None, size=None, zero_rows=False):
+def _sorted_state(seed, *, b=None, size=None, zero_rows=False, integral=False):
     """Random presorted (SD, SW) radii state plus derived cumsums."""
     rng = np.random.default_rng(seed)
     b = int(rng.integers(1, 7)) if b is None else b
     size = int(rng.integers(1, 30)) if size is None else size
     SD = np.sort(rng.uniform(0.0, 9.0, (b, size)), axis=1)
     SD[:, 0] = 0.0  # a node is at distance 0 from itself
-    SW = rng.uniform(0.0, 4.0, (b, size))
+    if integral:
+        SW = rng.integers(0, 5, (b, size)).astype(float)
+    else:
+        SW = rng.uniform(0.0, 4.0, (b, size))
     if zero_rows:
         SW[:] = 0.0
-    CW, CWD = dispatch("radii_cums", "numpy")(SD.copy(), SW.copy())
+    CW, CWD = _radii_cums_numpy(SD.copy(), SW.copy())
     return SD, SW, CW, CWD
 
 
-def _both(name, *args, copy_args=()):
-    """Run the reference and the auto-dispatch impl on equal inputs."""
-    def call(mode):
-        fresh = [a.copy() if i in copy_args else a for i, a in enumerate(args)]
-        return dispatch(name, mode)(*fresh), fresh
-    return call("numpy"), call("auto")
+def _assert_storage_matches_scalar(SD, CW, CWD, costs, total, integral):
+    rs, zs = _storage_radii_rows_numpy(SD, CW, CWD, costs, total, integral=integral)
+    for r in range(SD.shape[0]):
+        rs_r, zs_r = _storage_radius_from_cums(SD[r], CW[r], CWD[r], costs[r], total)
+        assert zs[r] == zs_r
+        assert rs[r] == rs_r  # bit-identical, inf included
 
 
-def _assert_equal(ref, act):
-    (ref_ret, ref_args), (act_ret, act_args) = ref, act
-    ref_out = ref_ret if isinstance(ref_ret, tuple) else (ref_ret,)
-    act_out = act_ret if isinstance(act_ret, tuple) else (act_ret,)
-    for x, y in zip(ref_out, act_out):
-        if x is not None:
-            np.testing.assert_array_equal(x, y)
-    for x, y in zip(ref_args, act_args):  # in-place mutations too
-        np.testing.assert_array_equal(x, y)
-
-
-class TestModeManagement:
-    def test_default_mode_is_auto(self):
-        assert get_kernel_mode() in KERNEL_MODES
-
-    def test_set_and_restore(self):
-        previous = set_kernel_mode("numpy")
-        try:
-            assert get_kernel_mode() == "numpy"
-        finally:
-            set_kernel_mode(previous)
-
-    def test_context_manager_restores_on_error(self):
-        before = get_kernel_mode()
-        with pytest.raises(RuntimeError):
-            with kernel_mode("numpy"):
-                assert get_kernel_mode() == "numpy"
-                raise RuntimeError("boom")
-        assert get_kernel_mode() == before
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="kernel mode"):
-            set_kernel_mode("fortran")
-        with pytest.raises(KeyError, match="unknown kernel"):
-            dispatch("warp_drive")
-
-    def test_numba_request_degrades_not_raises(self):
-        """An explicit 'numba' without numba must still dispatch."""
-        fn = dispatch("dist_reduce", "numba")
-        out = fn(np.array([[1.0, 2.0], [0.5, 3.0]]))
-        np.testing.assert_array_equal(out, [0.5, 2.0])
-
-    def test_provenance_reports_every_kernel(self):
-        info = kernel_provenance("auto")
-        assert info["mode"] == "auto"
-        assert set(info["active"]) == set(KERNEL_NAMES)
-        assert all(v in ("numpy", "numba") for v in info["active"].values())
-        assert info["numba_available"] == numba_available()
-        numpy_info = kernel_provenance("numpy")
-        assert set(numpy_info["active"].values()) == {"numpy"}
-        if not numba_available():
-            assert "note" in kernel_provenance("numba")
-            assert active_impl("radii_cums", "numba") == "numpy"
-        else:
-            assert "note" not in kernel_provenance("numba")
-            assert active_impl("radii_cums", "numba") == "numba"
+def _assert_prefix_matches_scalar(SD, CW, CWD, z, total):
+    out = _prefix_rows_numpy(SD, CW, CWD, z, total)
+    for r in range(SD.shape[0]):
+        assert out[r] == _prefix_from_cums(SD[r], CW[r], CWD[r], z[r], total)
 
 
 class TestKernelParity:
-    """auto-dispatch == numpy reference, bit for bit, on every kernel."""
+    """Every kernel == its scalar reference, bit for bit."""
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
     def test_radii_cums(self, seed):
-        SD, SW, _, _ = _sorted_state(seed)
-        # whether SW is consumed in place is impl-private (callers discard
-        # it), so only the returned (CW, CWD) pair carries the contract
-        (ref_ret, _), (act_ret, _) = _both("radii_cums", SD, SW, copy_args=(1,))
-        for x, y in zip(ref_ret, act_ret):
-            np.testing.assert_array_equal(x, y)
+        SD, SW, CW, CWD = _sorted_state(seed)
+        for r in range(SD.shape[0]):
+            aw = awd = 0.0
+            for j in range(SD.shape[1]):  # left-to-right accumulation
+                aw += SW[r, j]
+                awd += SW[r, j] * SD[r, j]
+                assert CW[r, j] == aw and CWD[r, j] == awd
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
@@ -130,25 +82,27 @@ class TestKernelParity:
         total = float(SW.sum(axis=1).max())
         rng = np.random.default_rng(seed + 1)
         z = rng.uniform(-1.0, total + 2.0, SD.shape[0])
-        _assert_equal(*_both("radii_prefix", SD, CW, CWD, z, total))
+        _assert_prefix_matches_scalar(SD, CW, CWD, z, total)
 
-    @given(seeds)
+    @given(seeds, st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_radii_storage(self, seed):
-        SD, SW, CW, CWD = _sorted_state(seed)
+    def test_radii_storage(self, seed, integral):
+        SD, SW, CW, CWD = _sorted_state(seed, integral=integral)
         total = float(SW[0].sum())
         rng = np.random.default_rng(seed + 2)
         costs = rng.uniform(0.1, 5.0, SD.shape[0])
-        _assert_equal(*_both("radii_storage", SD, CW, CWD, costs, total))
+        _assert_storage_matches_scalar(SD, CW, CWD, costs, total, integral)
 
     def test_radii_zero_demand_and_single_node(self):
         for kwargs in (dict(zero_rows=True), dict(b=1, size=1)):
             SD, SW, CW, CWD = _sorted_state(3, **kwargs)
             total = float(SW[0].sum())
             costs = np.ones(SD.shape[0])
-            _assert_equal(*_both("radii_storage", SD, CW, CWD, costs, total))
-            z = np.full(SD.shape[0], total)
-            _assert_equal(*_both("radii_prefix", SD, CW, CWD, z, total))
+            for integral in (False, True):
+                _assert_storage_matches_scalar(SD, CW, CWD, costs, total, integral)
+            _assert_prefix_matches_scalar(
+                SD, CW, CWD, np.full(SD.shape[0], total), total
+            )
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
@@ -159,7 +113,18 @@ class TestKernelParity:
         dist = np.abs(pts[:, None] - pts[None, :])
         dts = dist[0].copy()
         rs = rng.uniform(0.0, 1.5, n)
-        _assert_equal(*_both("phase2_sweep", dts, rs, dist, copy_args=(0,)))
+
+        ref = dts.tolist()
+        candidates = [v for v in range(n) if ref[v] > PHASE2_FACTOR * rs[v]]
+        expected = []
+        for v in candidates:  # fixed from the initial dts, re-checked in turn
+            if ref[v] > PHASE2_FACTOR * rs[v]:
+                expected.append(v)
+                ref = [min(a, b) for a, b in zip(ref, dist[v])]
+
+        added = _phase2_sweep_numpy(dts, rs, dist)
+        assert added.tolist() == expected
+        assert dts.tolist() == ref
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
@@ -170,51 +135,50 @@ class TestKernelParity:
         np.fill_diagonal(rows, 0.0)
         live = np.arange(k, dtype=np.int64)
         u_bound = rng.uniform(0.0, 3.0, k)
+
+        expected = [True] * k
+        for r, i in enumerate(live.tolist()):
+            if expected[i]:
+                for j in range(k):
+                    if expected[j] and j != i and rows[r, j] <= u_bound[j]:
+                        expected[j] = False
+
         alive = np.ones(k, dtype=bool)
-        _assert_equal(
-            *_both("phase3_sweep", rows, live, u_bound, alive, copy_args=(3,))
-        )
+        _phase3_sweep_numpy(rows, live, u_bound, alive)
+        assert alive.tolist() == expected
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
     def test_row_block_reductions(self, seed):
+        """Both backends' ``dist_to_set`` / ``nearest_in_set`` on their
+        row-block path; integer edge weights make tied minima common."""
         rng = np.random.default_rng(seed)
-        k, n = int(rng.integers(1, 8)), int(rng.integers(1, 30))
-        sub = rng.uniform(0.0, 7.0, (k, n))
-        if seed % 3 == 0:  # exercise tie-breaking: duplicated rows
-            sub[k // 2] = sub[0]
-        idx = rng.permutation(np.arange(100, 100 + k)).astype(np.int64)
-        _assert_equal(*_both("nearest_reduce", sub, idx))
-        _assert_equal(*_both("dist_reduce", sub))
+        n = int(rng.integers(2, 30))
+        g = nx.path_graph(n)
+        for u, v in nx.gnp_random_graph(n, 0.2, seed=seed).edges:
+            g.add_edge(u, v)
+        for u, v in g.edges:
+            g[u][v]["weight"] = int(rng.integers(1, 4))
+        targets = rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)), replace=False)
+        if seed % 3 == 0:  # a repeated target collapses to one
+            targets = np.append(targets, targets[0])
+        for metric in (Metric.from_graph(g), LazyMetric.from_graph(g)):
+            _assert_reductions_match_loop(metric, targets.tolist())
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
     def test_reductions_across_dtypes(self, dtype):
-        sub = np.array([[3, 1, 4], [1, 5, 9], [2, 6, 5]], dtype=dtype)
-        idx = np.array([7, 8, 9], dtype=np.int64)
-        _assert_equal(*_both("nearest_reduce", sub, idx))
-        _assert_equal(*_both("dist_reduce", sub))
+        dist = np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]], dtype=dtype)
+        _assert_reductions_match_loop(Metric(dist, validate=False), [2, 0])
 
 
-class TestEngineKernelKnob:
-    def test_explicit_modes_place_identically(self, line_metric):
-        from repro.core.instance import DataManagementInstance
-        from repro.engine import PlacementEngine
-
-        inst = DataManagementInstance(
-            line_metric, np.ones(5) * 2.0, np.ones((3, 5)), np.ones((3, 5)) * 0.2
-        )
-        results = {
-            mode: PlacementEngine(inst, kernels=mode).place().copy_sets
-            for mode in KERNEL_MODES
-        }
-        assert results["numpy"] == results["auto"] == results["numba"]
-
-    def test_bad_kernels_knob_rejected(self, line_metric):
-        from repro.core.instance import DataManagementInstance
-        from repro.engine import PlacementEngine
-
-        inst = DataManagementInstance(
-            line_metric, np.ones(5), np.ones((1, 5)), np.zeros((1, 5))
-        )
-        with pytest.raises(ValueError, match="kernels"):
-            PlacementEngine(inst, kernels="fortran")
+def _assert_reductions_match_loop(metric, targets):
+    """Per node: the smallest distance to a target, and the nearest
+    target -- the smallest node id among tied minimisers."""
+    rows = {t: metric.row(t).tolist() for t in set(targets)}
+    dist = metric.dist_to_set(targets)
+    nearest, nearest_dist = metric.nearest_in_set(targets)
+    for v in range(metric.n):
+        best_t = min(sorted(rows), key=lambda t: rows[t][v])  # first minimiser
+        assert dist[v] == rows[best_t][v]
+        assert nearest[v] == best_t
+        assert nearest_dist[v] == rows[best_t][v]

@@ -6,27 +6,36 @@ verbatim), so re-running the engine gives bit-identical copy sets; a
 reloaded PlanReport compares equal to the saved one, field for field.
 """
 
+import gc
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import PlanReport, Planner
+from repro.cli import main
 from repro.config import PlanConfig
 from repro.core.instance import DataManagementInstance
 from repro.core.placement import Placement
 from repro.engine import PlacementEngine
-from repro.graphs import generators
+from repro.graphs import generators, partition_instance
 from repro.graphs.backend import LazyMetric
 from repro.graphs.metric import Metric
 from repro.serialize import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    load_partition,
     placement_from_arrays,
     placement_to_arrays,
     save_instance,
+    save_partition,
 )
+from repro.serve import read_spool_file, write_spool_file
+from repro.simulate.events import RequestLog
 from repro.workloads.request_models import make_instance
 
 seeds = st.integers(min_value=0, max_value=120)
@@ -129,6 +138,96 @@ class TestPlanReportRoundTrip:
         # strategy extras (migration bills, event counts) survive exactly
         assert loaded.extras == report.extras
         assert loaded.config == config
+
+
+class TestRetiredConfigKnobs:
+    """Reports saved while ``PlanConfig`` had the ``shared_memory`` and
+    ``kernels`` knobs load, with one DeprecationWarning naming them."""
+
+    def _legacy(self, report: PlanReport, path):
+        report.save(path)
+        if path.suffix == ".json":
+            data = json.loads(path.read_text())
+            data["config"].update(shared_memory=True, kernels="numpy")
+            path.write_text(json.dumps(data))
+            return
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {k: np.asarray(archive[k]) for k in archive.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        meta["config"].update(shared_memory=True, kernels="numpy")
+        np.savez_compressed(path, meta=np.str_(json.dumps(meta)), **arrays)
+
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    def test_old_report_loads(self, suffix, tmp_path):
+        config = PlanConfig(chunk_size=2, seed=3)
+        report = Planner(config).plan(_instance(7, "dense"), "krw")
+        path = tmp_path / f"old{suffix}"
+        self._legacy(report, path)
+        with pytest.warns(DeprecationWarning) as record:
+            loaded = PlanReport.load(path)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "shared_memory" in message and "kernels" in message
+        assert loaded == report
+        assert loaded.config == config
+
+
+def _spool_log() -> RequestLog:
+    return RequestLog(
+        kind=np.array([0, 1, 0]), node=np.array([1, 2, 3]), obj=np.array([0, 0, 1])
+    )
+
+
+#: Each archive loader with a writer for a valid archive of its kind.
+_LOADERS = {
+    "report": (
+        PlanReport.load,
+        lambda path: Planner().plan(_instance(3, "dense"), "krw").save(path),
+    ),
+    "partition": (
+        load_partition,
+        lambda path: save_partition(
+            partition_instance(_instance(3, "dense"), num_shards=2, portals_per_shard=1),
+            path,
+        ),
+    ),
+    "instance": (load_instance, lambda path: save_instance(_instance(3, "lazy"), path)),
+    "spool": (read_spool_file, lambda path: write_spool_file(_spool_log(), path)),
+}
+
+
+class TestDamagedArchives:
+    """A damaged ``*.npz`` raises a ValueError naming the path and leaves
+    no file open."""
+
+    @pytest.mark.parametrize("damage", ["half", "empty"])
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    def test_loader_raises_named_error_and_closes_the_file(
+        self, kind, damage, tmp_path
+    ):
+        load, write = _LOADERS[kind]
+        good = tmp_path / "good.npz"
+        write(good)
+        load(good)  # the undamaged archive reads
+        data = good.read_bytes()
+        bad = tmp_path / f"{damage}.npz"
+        bad.write_bytes(data[: len(data) // 2] if damage == "half" else b"")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValueError, match=bad.name):
+                load(bad)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
+    def test_plan_load_of_a_damaged_report_exits_2(self, tmp_path, capsys):
+        good = tmp_path / "good.npz"
+        _LOADERS["report"][1](good)
+        data = good.read_bytes()
+        bad = tmp_path / "half.npz"
+        bad.write_bytes(data[: len(data) // 2])
+        assert main(["plan", "--load", str(bad)]) == 2
+        assert f"plan: cannot load {bad}" in capsys.readouterr().err
 
 
 class TestCanonicalPayload:

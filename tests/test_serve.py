@@ -591,6 +591,59 @@ class TestCheckpoint:
         assert np.array_equal(loaded.totals_read, cp.totals_read)
         assert loaded.plan_config() == daemon.config
 
+    def test_checkpoint_with_retired_config_knobs_resumes(self, tmp_path):
+        """A checkpoint written while ``PlanConfig`` still had the
+        ``shared_memory`` and ``kernels`` knobs restores with one
+        DeprecationWarning, and its next epoch equals an uninterrupted
+        run's."""
+        g, metric = _network(seed=5)
+        wl = _workload(metric.n, epochs=3, seed=17)
+        cs = _costs(metric.n)
+        config = PlanConfig(replan_mode="incremental")
+
+        reference = PlacementDaemon(
+            cs, wl.num_objects, metric=metric, graph=g, config=config
+        )
+        try:
+            replay_workload(reference, wl)
+            ref_state = reference.snapshot()
+        finally:
+            reference.close()
+
+        path = tmp_path / "old.npz"
+        daemon = PlacementDaemon(
+            cs, wl.num_objects, metric=metric, graph=g, config=config
+        )
+        try:
+            for e in range(wl.num_epochs - 1):
+                daemon.ingest_counts(wl.read_freqs[e], wl.write_freqs[e])
+                daemon.end_epoch(wait=True)
+            daemon.checkpoint_now(path)
+        finally:
+            daemon.close()
+        fmt = "repro-serve-checkpoint"
+        meta, arrays = load_array_archive(path, fmt=fmt)
+        meta = {k: v for k, v in meta.items() if k not in ("format", "version")}
+        meta["config"] = {**meta["config"], "shared_memory": True, "kernels": "auto"}
+        save_array_archive(path, fmt=fmt, meta=meta, arrays=arrays)
+
+        with pytest.warns(DeprecationWarning, match="shared_memory") as record:
+            resumed = PlacementDaemon.restore(
+                path, storage_costs=cs, metric=metric, graph=g
+            )
+        try:
+            assert len(record) == 1
+            assert resumed.config == config
+            e = wl.num_epochs - 1
+            resumed.ingest_counts(wl.read_freqs[e], wl.write_freqs[e])
+            resumed.end_epoch(wait=True)
+            state = resumed.snapshot()
+            assert state.copy_sets == ref_state.copy_sets
+            assert state.cumulative_cost == ref_state.cumulative_cost
+            assert state.generation == ref_state.generation
+        finally:
+            resumed.close()
+
     def test_cadence_checkpoints_between_epochs(self, tmp_path):
         g, metric = _network()
         wl = _workload(metric.n, epochs=4)
