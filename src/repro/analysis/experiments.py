@@ -1063,9 +1063,7 @@ def run_e15_dynamic_replay(
     t_static = time.perf_counter() - t0 + t_place
 
     t0 = time.perf_counter()
-    replan = EpochReplanner(g, metric, cs, config=plan_config).run(
-        workload, log_seed=log_seed
-    )
+    replan = EpochReplanner(g, metric, cs, config=plan_config).run(workload)
     t_replan = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -1211,7 +1209,7 @@ def run_e16_incremental_replan(
                     replan_mode=mode, replan_tolerance=tol or 0.0,
                 )
                 replanner = EpochReplanner(g, metric, cs, config=config)
-                runs[(mode, tol)] = replanner.run(workload, log_seed=seed + 3)
+                runs[(mode, tol)] = replanner.run(workload)
 
             full = runs[("full", None)]
             full_solve = sum(e.solve_time_s for e in full.epochs[1:])

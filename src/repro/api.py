@@ -290,7 +290,6 @@ class Planner:
         storage_costs,
         *,
         metric=None,
-        log_seed: int | None = None,
     ):
         """Epoch-replan a dynamic workload under this planner's config.
 
@@ -302,8 +301,9 @@ class Planner:
         :class:`~repro.simulate.replanner.EpochReplanner` over the
         :class:`~repro.workloads.dynamic.DynamicWorkload` -- the
         config's ``replan_mode`` / ``replan_tolerance`` knobs decide
-        whether each epoch is a full catalog re-solve or an incremental
-        one over the drifted objects only.  Returns the
+        whether an epoch with drifted objects is a full catalog re-solve
+        or an incremental one over the drifted objects only (an epoch
+        in which nothing drifted carries its placement).  Returns the
         :class:`~repro.simulate.replanner.ReplanResult` with per-epoch
         serving bills, migration costs and solve times.
 
@@ -341,7 +341,7 @@ class Planner:
                 else LazyMetric.from_graph(graph, cache_rows=self.config.cache_rows)
             )
         replanner = EpochReplanner(graph, metric, storage_costs, config=self.config)
-        return replanner.run(workload, log_seed=log_seed)
+        return replanner.run(workload)
 
     # ------------------------------------------------------------------
     def serve(

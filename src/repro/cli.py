@@ -157,7 +157,7 @@ def _run_plan(args, out=sys.stdout) -> int:
     if args.load_path:
         try:
             report = PlanReport.load(args.load_path)
-        except (ValueError, OSError, KeyError) as exc:
+        except (ValueError, TypeError, OSError, KeyError) as exc:
             print(f"plan: cannot load {args.load_path}: {exc}", file=sys.stderr)
             return 2
         print(f"loaded {args.load_path}", file=out)
@@ -556,12 +556,19 @@ def _run_serve_run(args, out=sys.stdout, in_stream=None) -> int:
             args.config is not None or args.incremental
             or args.tolerance is not None or args.checkpoint_every is not None
         )
-        daemon = PlacementDaemon.restore(
-            args.checkpoint,
-            storage_costs=instance.storage_costs,
-            metric=instance.metric,
-            config=config if explicit else None,
-        )
+        try:
+            daemon = PlacementDaemon.restore(
+                args.checkpoint,
+                storage_costs=instance.storage_costs,
+                metric=instance.metric,
+                config=config if explicit else None,
+            )
+        except (ValueError, TypeError, OSError) as exc:
+            print(
+                f"serve run: cannot resume {args.checkpoint}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         daemon = PlacementDaemon(
             instance.storage_costs,

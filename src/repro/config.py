@@ -13,8 +13,9 @@ Consumers:
 
 * :meth:`repro.engine.PlacementEngine.from_config` /
   :func:`repro.engine.place_catalog` consume the engine knobs,
-* :class:`repro.simulate.replanner.EpochReplanner` shares one config
-  across its per-epoch solves,
+* :class:`repro.simulate.replanner.EpochStep` -- the epoch step of
+  :class:`~repro.simulate.replanner.EpochReplanner` and the serving
+  daemon -- shares one config across its per-epoch solves,
 * every :mod:`repro.registry` strategy receives the config through
   ``plan(instance, config)``,
 * ``python -m repro plan/compare --config FILE`` loads one from disk.
@@ -47,7 +48,6 @@ __all__ = [
     "BACKEND_CHOICES",
     "COST_POLICIES",
     "REPLAN_MODES",
-    "SERVE_TRIGGERS",
     "PARTITION_METHODS",
     "load_mapping",
 ]
@@ -89,24 +89,18 @@ BACKEND_CHOICES = ("auto", "dense", "lazy")
 #: Billing policies understood by :func:`repro.core.costs.placement_cost`.
 COST_POLICIES = ("mst", "steiner", "steiner_mst")
 
-#: Epoch re-placement modes of the dynamic layer
-#: (:class:`repro.simulate.replanner.EpochReplanner`): ``"full"`` re-solves
-#: the whole catalog every epoch, ``"incremental"`` re-solves only the
-#: objects whose demand drifted beyond ``replan_tolerance``.
+#: Epoch re-placement modes of the epoch step
+#: (:class:`repro.simulate.replanner.EpochStep`): once some object drifted
+#: beyond ``replan_tolerance``, ``"full"`` re-solves the whole catalog and
+#: ``"incremental"`` only the drifted objects.
 REPLAN_MODES = ("full", "incremental")
 
-#: Replan trigger modes of the serving daemon
-#: (:class:`repro.serve.PlacementDaemon`): ``"drift"`` re-places only
-#: when some object's demand drifted beyond ``replan_tolerance`` since
-#: its last re-place, ``"every-epoch"`` runs the configured re-solve for
-#: every sealed batch window regardless.
-SERVE_TRIGGERS = ("drift", "every-epoch")
-
 #: Knobs that older configs carry and that no longer exist: the worker
-#: transport (``shared_memory``) and the kernel dispatch mode
-#: (``kernels``).  Neither ever changed a placement, so
-#: :meth:`PlanConfig.from_dict` drops them with a warning.
-_RETIRED_KNOBS = ("shared_memory", "kernels")
+#: transport (``shared_memory``), the kernel dispatch mode (``kernels``)
+#: and the daemon's replan trigger (``serve_trigger``, now the epoch
+#: step's one drift rule).  :meth:`PlanConfig.from_dict` drops them with
+#: a warning.
+_RETIRED_KNOBS = ("shared_memory", "kernels", "serve_trigger")
 
 
 @dataclass(frozen=True)
@@ -152,11 +146,12 @@ class PlanConfig:
     replication_threshold:
         The ``online`` strategy's ski-rental read count.
     replan_mode:
-        Dynamic-layer epoch re-placement mode (``"full"`` |
-        ``"incremental"``): whether
-        :class:`~repro.simulate.replanner.EpochReplanner` re-solves the
-        whole catalog each epoch or only the objects whose demand
-        drifted.
+        Epoch re-placement mode (``"full"`` | ``"incremental"``) of the
+        epoch step the replanner and the serving daemon share
+        (:class:`~repro.simulate.replanner.EpochStep`): when some object
+        drifted past ``replan_tolerance``, whether the epoch re-solves
+        the whole catalog or only the drifted objects.  Either way an
+        epoch in which nothing drifted carries the placement forward.
     partition / num_shards / portals_per_shard:
         Sharded-solve knobs consumed by the ``krw-sharded`` strategy:
         the partition method (:data:`repro.graphs.partition.PARTITION_METHODS`;
@@ -166,19 +161,14 @@ class PlanConfig:
         as provenance and ignore them.
     replan_tolerance:
         Normalized per-object L1 demand-drift threshold below which an
-        incremental replan carries an object's copy set forward
-        unchanged; drift is measured against the object's demand at its
+        object counts as clean: an incremental replan carries its copy
+        set forward unchanged, and an epoch with no drifted object is
+        carried in either mode; drift is measured against the object's demand at its
         last re-place, so slow drift accumulates instead of hiding
         under a per-epoch threshold.  ``0.0`` (default) re-places
         exactly the objects whose frequency rows changed at all --
         bit-identical to a full re-solve; larger values trade a bounded
         billing error for fewer re-solves.
-    serve_trigger:
-        When the serving daemon (:class:`repro.serve.PlacementDaemon`)
-        schedules a background replan for a sealed batch window
-        (:data:`SERVE_TRIGGERS`): ``"drift"`` (default) only when the
-        accumulated drift since the last re-place crosses
-        ``replan_tolerance``, ``"every-epoch"`` unconditionally.
     serve_checkpoint_every:
         Warm-state checkpoint cadence of the daemon, in published
         epochs: ``k > 0`` writes the checkpoint after every ``k``-th
@@ -209,7 +199,6 @@ class PlanConfig:
     partition: str = "auto"
     num_shards: int = 1
     portals_per_shard: int = 4
-    serve_trigger: str = "drift"
     serve_checkpoint_every: int = 0
     serve_max_lag: int = 4
 
@@ -269,11 +258,6 @@ class PlanConfig:
             raise ValueError(
                 "portals_per_shard must be >= 1 (each shard needs at least "
                 "one boundary portal to route inter-shard distances)"
-            )
-        if self.serve_trigger not in SERVE_TRIGGERS:
-            raise ValueError(
-                f"unknown serve_trigger {self.serve_trigger!r}; "
-                f"choose from {SERVE_TRIGGERS}"
             )
         if int(self.serve_checkpoint_every) < 0:
             raise ValueError(

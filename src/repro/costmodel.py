@@ -87,8 +87,7 @@ __all__ = [
 class MigrationBill(NamedTuple):
     """One placement transition's bill: transfer cost + copy churn.
 
-    A named tuple so legacy ``cost, added, dropped = ...`` unpacking
-    (the pre-seam ``migration_diff`` contract) keeps working.
+    A named tuple, so ``cost, added, dropped = ...`` unpacking works.
     """
 
     cost: float

@@ -329,8 +329,10 @@ class EpochReplanStrategy(PlacementStrategy):
     :class:`~repro.simulate.replanner.EpochReplanner` would charge to
     reach it from the zero-knowledge start (every object one copy on the
     cheapest storage node): each new copy transfers from the nearest old
-    one, dropping is free.  The config's ``replan_mode`` /
-    ``replan_tolerance`` knobs are recorded as provenance -- a single
+    one, dropping is free -- the config's cost model's
+    ``bill_migration``, as the ``daemon`` strategy bills its first
+    epoch.  The config's ``replan_mode`` / ``replan_tolerance`` knobs
+    are recorded as provenance -- a single
     static instance is one all-dirty epoch, so full and incremental
     re-placement coincide here (multi-epoch horizons go through
     :meth:`repro.api.Planner.replan`).
@@ -341,14 +343,12 @@ class EpochReplanStrategy(PlacementStrategy):
     def place(self, instance, config):
         placement = PlacementEngine.from_config(instance, config).place()
         start = int(np.argmin(instance.storage_costs))
-        from_start = instance.metric.row(start)
-        migration = 0.0
-        for copies in placement.copy_sets:
-            gained = [v for v in copies if v != start]
-            if gained:
-                migration += float(from_start[np.asarray(gained, dtype=int)].sum())
+        migration = get_cost_model(config.cost_model).bill_migration(
+            instance.metric, ((start,),) * instance.num_objects,
+            placement.copy_sets,
+        )
         return placement, {
-            "migration_cost": migration,
+            "migration_cost": migration.cost,
             "initial_node": start,
             "replan_mode": config.replan_mode,
             "replan_tolerance": config.replan_tolerance,
@@ -391,7 +391,6 @@ class DaemonStrategy(PlacementStrategy):
             "generation": state.generation,
             "migration_cost": record["migration_cost"],
             "replaced_objects": record["replaced"],
-            "serve_trigger": config.serve_trigger,
             "replan_mode": config.replan_mode,
             "replan_tolerance": config.replan_tolerance,
         }

@@ -11,23 +11,22 @@ The serving loop (see ARCHITECTURE.md for the dataflow picture):
    epoch and hands it to the background worker thread; the bounded
    hand-off queue (``config.serve_max_lag``) gives backpressure instead
    of unbounded lag when replans fall behind the stream.
-3. **Replan** -- the worker detects drift against each object's demand
-   at its last re-place (the shared
-   :class:`~repro.workloads.drift.DriftTracker`), re-solves either the
-   dirty subset (``replan_mode="incremental"``, via
-   :meth:`~repro.engine.PlacementEngine.place_subset`) or the whole
-   catalog, and bills the epoch: serving through the vectorized
-   :class:`~repro.simulate.simulator.NetworkSimulator` replay (when the
-   daemon knows the network graph) or the static
-   :func:`~repro.core.costs.placement_cost`, plus migration through the
-   replanner's batched :func:`~repro.simulate.replanner.migration_diff`.
+3. **Replan** -- the worker runs the epoch step of
+   :class:`~repro.simulate.replanner.EpochReplanner`
+   (:meth:`EpochStep.solve <repro.simulate.replanner.EpochStep.solve>`,
+   which changes nothing): drift detection against each object's demand
+   at its last re-place, the re-solve or a carried placement, the
+   serving bill (a :class:`~repro.simulate.simulator.NetworkSimulator`
+   replay when the daemon knows the network graph, the cost model's
+   ``bill_placement`` otherwise) and the migration bill.
 4. **Publish** -- the worker builds a fresh immutable
    :class:`~repro.serve.state.ServingState`, nearest-replica tables
    included (reusing the outgoing state's table for every unchanged
-   copy set), and only then advances the cumulative accounting and
-   swaps the state in with one reference assignment.  A failure
-   anywhere before the swap leaves the published generation, its bill
-   and the drift anchors untouched.  Foreground lookups
+   copy set), and only then commits the step (copy sets and drift
+   anchors), advances the cumulative accounting and swaps the state in
+   with one reference assignment.  A failure anywhere before the swap
+   leaves the published generation, its bill and the drift anchors
+   untouched.  Foreground lookups
    (:meth:`placement`, :meth:`nearest_replica`, :meth:`lookup`,
    :meth:`stats`) grab the reference once and answer entirely from that
    snapshot, so they always see exactly one generation -- never a mix --
@@ -39,10 +38,10 @@ is re-placed on its own demand, then its traffic is billed against the
 new placement.  The daemon rebuilds each epoch's request log from its
 accumulated count matrices
 (:meth:`~repro.simulate.events.RequestLog.from_frequencies`, canonical
-order), and the bill of a static replay is count-determined -- so at
-``replan_tolerance=0`` a daemon fed a
-:class:`~repro.workloads.dynamic.DynamicWorkload` epoch-by-epoch
-produces the replanner's per-epoch placements and cumulative bill
+order), and the bill of a static replay is count-determined -- so a
+daemon fed a :class:`~repro.workloads.dynamic.DynamicWorkload`
+epoch-by-epoch runs the replanner's epoch step on the same instances
+and produces its per-epoch placements and cumulative bill
 bit-identically (gated by Experiment E19).
 
 Warm restarts: :meth:`checkpoint_now` (and the cadence/SIGTERM paths)
@@ -57,19 +56,13 @@ import queue
 import signal
 import threading
 import time
-from functools import partial
 
 import numpy as np
 
 from ..config import PlanConfig
 from ..core.instance import DataManagementInstance, _min_finite
-from ..core.placement import Placement
-from ..costmodel import get_cost_model
-from ..engine import PlacementEngine
 from ..simulate.events import RequestLog
-from ..simulate.paths import PathCache
-from ..simulate.simulator import NetworkSimulator
-from ..workloads.drift import DriftTracker
+from ..simulate.replanner import EpochStep
 from .checkpoint import DaemonCheckpoint, load_checkpoint, save_checkpoint
 from .state import LookupResult, ServingState
 
@@ -98,16 +91,16 @@ class PlacementDaemon:
         The network graph.  When given, each sealed epoch's serving
         bill replays the epoch's request log through a
         :class:`~repro.simulate.simulator.NetworkSimulator` (the
-        replanner's accounting).  Without it the daemon is
-        *metric-only* and bills the configured cost model's closed-form
-        ``bill_placement`` instead (for ``"krw"``:
-        :func:`~repro.core.costs.placement_cost`) -- enough for the
-        registry's offline ``daemon`` strategy.
+        replanner's accounting), so ingested counts must be integers.
+        Without it the daemon is *metric-only* and bills the configured
+        cost model's closed-form ``bill_placement`` instead (for
+        ``"krw"``: :func:`~repro.core.costs.placement_cost`) -- enough
+        for the registry's offline ``daemon`` strategy.
     config:
         A :class:`~repro.config.PlanConfig`; ``replan_mode`` /
         ``replan_tolerance`` drive the background solve and the
-        ``serve_*`` knobs drive trigger mode, checkpoint cadence and
-        the replan-lag bound.
+        ``serve_*`` knobs drive checkpoint cadence and the replan-lag
+        bound.
     checkpoint_path:
         Where warm state lands (``*.npz``).  Enables the
         ``serve_checkpoint_every`` cadence and the SIGTERM flush;
@@ -148,8 +141,6 @@ class PlacementDaemon:
         self.graph = graph
         self.config = config if config is not None else PlanConfig()
         self.checkpoint_path = checkpoint_path
-        self._path_cache = PathCache(graph) if graph is not None else None
-        self._tracker = DriftTracker(tolerance=self.config.replan_tolerance)
 
         # -- pending (unsealed) window, guarded by the ingest lock
         self._ingest_lock = threading.Lock()
@@ -160,11 +151,12 @@ class PlacementDaemon:
         self._events_ingested = 0
         self._epochs_sealed = 0
 
-        # -- worker-owned accounting (only the worker thread mutates it)
-        start = int(np.argmin(self.storage_costs))
-        self._prev_sets: list[tuple[int, ...]] = [
-            (start,) for _ in range(self.num_objects)
-        ]
+        # -- worker-owned state (only the worker thread mutates it): the
+        # epoch step's copy sets and drift anchors, and the accounting
+        self._step = EpochStep(
+            metric, self.storage_costs, self.num_objects, self.config,
+            graph=graph,
+        )
         self._serve_cost = 0.0
         self._migration_cost = 0.0
         self._records: list[dict] = []
@@ -172,7 +164,7 @@ class PlacementDaemon:
         # -- the atomically swapped snapshot lookups read
         self._state = ServingState(
             metric=metric,
-            copy_sets=tuple(self._prev_sets),
+            copy_sets=self._step.copy_sets,
             generation=0,
             epoch=0,
         )
@@ -229,14 +221,14 @@ class PlacementDaemon:
                 f"this daemon serves {self.num_nodes} nodes"
             )
         if cp.primed:
-            self._tracker.prime(cp.base_fr, cp.base_fw)
+            self._step.tracker.prime(cp.base_fr, cp.base_fw)
         self._pending_fr = cp.pending_fr.copy()
         self._pending_fw = cp.pending_fw.copy()
         self._totals_read = cp.totals_read.copy()
         self._totals_write = cp.totals_write.copy()
         self._events_ingested = int(cp.events_ingested)
         self._epochs_sealed = int(cp.epochs_published)
-        self._prev_sets = list(cp.copy_sets)
+        self._step.copy_sets = cp.copy_sets
         self._serve_cost = float(cp.serve_cost)
         self._migration_cost = float(cp.migration_cost)
         self._state = ServingState(
@@ -279,8 +271,9 @@ class PlacementDaemon:
         ``repro serve replay`` feeds from a ``DynamicWorkload`` epoch).
 
         Graph-billed daemons need integer-valued counts -- the epoch log
-        is rebuilt from them at seal time; metric-only daemons accept
-        any non-negative demand.
+        is rebuilt from them at seal time -- and refuse others here, so
+        the window never holds demand its replan cannot bill;
+        metric-only daemons accept any non-negative demand.
         """
         self._check_open()
         fr = np.asarray(read_freq, dtype=float)
@@ -295,6 +288,8 @@ class PlacementDaemon:
             raise ValueError("demand must be finite")
         if (fr < 0).any() or (fw < 0).any():
             raise ValueError("demand must be non-negative")
+        if self.graph is not None:
+            RequestLog.check_counts(fr, fw)
         events = int(round(float(fr.sum() + fw.sum())))
         with self._ingest_lock:
             self._pending_fr += fr
@@ -387,7 +382,6 @@ class PlacementDaemon:
             "num_nodes": self.num_nodes,
             "replan_mode": self.config.replan_mode,
             "replan_tolerance": self.config.replan_tolerance,
-            "serve_trigger": self.config.serve_trigger,
             "last_epoch": dict(self._records[-1]) if self._records else None,
         }
 
@@ -453,72 +447,19 @@ class PlacementDaemon:
     def _process_epoch(self, epoch: int, fr: np.ndarray, fw: np.ndarray) -> None:
         """Replan + bill one sealed epoch, then publish (worker thread).
 
-        Nothing the daemon keeps changes until the new state, tables
-        included, is built; a raise before that point leaves the
-        published generation, the bill and the drift anchors as they
-        were."""
-        config = self.config
-        incremental = config.replan_mode == "incremental"
+        The step's solve changes nothing, and the new state, tables
+        included, is built before the commit; a raise before that point
+        leaves the published generation, the bill and the drift anchors
+        as they were."""
         inst = DataManagementInstance(self.metric, self.storage_costs, fr, fw)
-        t0 = time.perf_counter()
-        # ``reanchor`` is the drift-anchor update, applied at the commit
-        if not self._tracker.primed:
-            # zero-knowledge start: the first sealed epoch always solves
-            # the whole catalog (the replanner's epoch-0 convention)
-            placement = PlacementEngine.from_config(inst, config).place()
-            replaced = self.num_objects
-            reanchor = partial(self._tracker.prime, fr, fw)
-        else:
-            dirty = self._tracker.drifted(fr, fw)
-            if dirty.size == 0 and config.serve_trigger == "drift":
-                # nothing crossed the tolerance: carry the placement
-                placement = Placement(tuple(self._prev_sets))
-                replaced = 0
-                reanchor = None
-            elif incremental:
-                solved = PlacementEngine.from_config(inst, config).place_subset(
-                    dirty
-                )
-                copy_sets = list(self._prev_sets)
-                for obj, copies in solved.items():
-                    copy_sets[obj] = copies
-                placement = Placement(tuple(copy_sets))
-                replaced = len(solved)
-                reanchor = (
-                    partial(self._tracker.rebase, dirty, fr, fw) if replaced else None
-                )
-            else:
-                placement = PlacementEngine.from_config(inst, config).place()
-                replaced = self.num_objects
-                reanchor = partial(self._tracker.prime, fr, fw)
-        # the replanner's accounting seam: one cost model bills the
-        # migration and the epoch serve alike
-        model = get_cost_model(config.cost_model)
-        migration, added, dropped = model.bill_migration(
-            self.metric, self._prev_sets, placement.copy_sets
-        )
-        solve_time = time.perf_counter() - t0
-
-        if self.graph is not None:
-            # the replanner's accounting: replay the epoch's canonical
-            # log against the freshly published placement
-            sim = NetworkSimulator(
-                self.graph, inst, update_policy="mst",
-                path_cache=self._path_cache, cost_model=model,
-            )
-            log = RequestLog.from_frequencies(fr, fw)
-            serve_cost = sim.run(placement, log).total_cost
-        else:
-            serve_cost = model.bill_placement(
-                inst, placement, policy=config.cost_policy
-            ).total
-
-        serve_total = self._serve_cost + serve_cost
+        outcome = self._step.solve(inst)
+        migration, added, dropped = outcome.migration
+        serve_total = self._serve_cost + outcome.serve_cost
         migration_total = self._migration_cost + migration
         t1 = time.perf_counter()
         state = ServingState(
             metric=self.metric,
-            copy_sets=placement.copy_sets,
+            copy_sets=outcome.placement.copy_sets,
             generation=self._state.generation + 1,
             epoch=epoch + 1,
             migration_cost=migration,
@@ -528,22 +469,20 @@ class PlacementDaemon:
         tables_s = time.perf_counter() - t1
 
         # commit: from here on nothing raises before the swap
-        if reanchor is not None:
-            reanchor()
+        self._step.commit(outcome)
         self._serve_cost = serve_total
         self._migration_cost = migration_total
-        self._prev_sets = list(placement.copy_sets)
         self._records.append(
             {
                 "epoch": epoch,
                 "generation": state.generation,
-                "serve_cost": float(serve_cost),
+                "serve_cost": outcome.serve_cost,
                 "migration_cost": float(migration),
-                "total_cost": float(serve_cost) + float(migration),
-                "replaced": int(replaced),
+                "total_cost": outcome.serve_cost + float(migration),
+                "replaced": int(outcome.replaced),
                 "copies_added": int(added),
                 "copies_dropped": int(dropped),
-                "solve_time_s": float(solve_time),
+                "solve_time_s": float(outcome.solve_time_s),
                 "tables_s": float(tables_s),
                 "tables_built": int(state.tables_built),
             }
@@ -571,8 +510,8 @@ class PlacementDaemon:
     def _build_checkpoint(self) -> DaemonCheckpoint:
         state = self._state
         base_fr = base_fw = None
-        if self._tracker.primed:
-            base_fr, base_fw = self._tracker.anchors
+        if self._step.tracker.primed:
+            base_fr, base_fw = self._step.tracker.anchors
         with self._ingest_lock:
             pending_fr = self._pending_fr.copy()
             pending_fw = self._pending_fw.copy()

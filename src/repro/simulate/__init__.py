@@ -10,13 +10,20 @@
 * :mod:`online` -- a count-based dynamic strategy for the online-vs-static
   comparison (Experiment E12);
 * :mod:`replanner` -- epoch-wise static re-solving with explicit
-  migration cost, the static/online bridge (Experiment E15).
+  migration cost, the static/online bridge (Experiment E15), and the
+  one epoch step it shares with the serving daemon.
 """
 
 from .events import READ, WRITE, Request, RequestLog, request_log_from_instance
 from .online import OnlineCountingStrategy
 from .paths import PathCache
-from .replanner import EpochReplanner, EpochReport, ReplanResult, migration_diff
+from .replanner import (
+    EpochOutcome,
+    EpochReplanner,
+    EpochReport,
+    EpochStep,
+    ReplanResult,
+)
 from .simulator import NetworkSimulator, SimulationReport
 
 __all__ = [
@@ -30,7 +37,8 @@ __all__ = [
     "SimulationReport",
     "OnlineCountingStrategy",
     "EpochReplanner",
-    "migration_diff",
+    "EpochStep",
+    "EpochOutcome",
     "EpochReport",
     "ReplanResult",
 ]

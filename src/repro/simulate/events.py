@@ -106,10 +106,7 @@ class RequestLog:
         fw = np.atleast_2d(np.asarray(write_freq, dtype=float))
         if fr.shape != fw.shape:
             raise ValueError("read_freq and write_freq must have equal shapes")
-        if not np.allclose(fr, np.round(fr)) or not np.allclose(fw, np.round(fw)):
-            raise ValueError(
-                "request frequencies must be integer counts to expand into a log"
-            )
+        cls.check_counts(fr, fw)
         m, n = fr.shape
         fr_i = np.rint(fr).astype(np.int64).ravel()
         fw_i = np.rint(fw).astype(np.int64).ravel()
@@ -125,6 +122,17 @@ class RequestLog:
         if seed is not None:
             return log.shuffled(seed)
         return log
+
+    @staticmethod
+    def check_counts(read_freq: np.ndarray, write_freq: np.ndarray) -> None:
+        """Raise :class:`ValueError` unless both matrices hold integer
+        counts -- what :meth:`from_frequencies` can expand into events."""
+        for freq in (read_freq, write_freq):
+            if not np.allclose(freq, np.round(freq)):
+                raise ValueError(
+                    "request frequencies must be integer counts to expand "
+                    "into a log"
+                )
 
     @classmethod
     def from_instance(

@@ -9,33 +9,45 @@ epoch (the migration model of "A Paradigm for Channel Assignment and
 Data Migration in Distributed Systems"), on top of each epoch's normal
 storage + traffic bill.
 
+One epoch step
+--------------
+:class:`EpochStep` is the epoch step of :class:`EpochReplanner` and of
+the live :class:`~repro.serve.PlacementDaemon`.  It owns what both carry
+between epochs (copy sets, drift anchors, cost model, path cache);
+:meth:`~EpochStep.solve` places and bills an epoch without changing
+them and :meth:`~EpochStep.commit` moves them, so the two consumers
+agree by construction.  One drift rule: the first epoch solves the whole
+catalog; an epoch in which no object drifted past
+``config.replan_tolerance`` carries the placement; otherwise
+``replan_mode="incremental"`` re-solves the drifted objects and
+``"full"`` the whole catalog.
+
 Accounting conventions (shared with Experiments E15/E16's comparisons):
 
 * each epoch is one billing period -- copies held during an epoch pay
   their storage price for that epoch;
 * epoch traffic is billed by the vectorized
   :class:`~repro.simulate.simulator.NetworkSimulator` replay of the
-  epoch's request log against that epoch's placement;
+  epoch's canonical request log against that epoch's placement; a
+  metric-only step (no graph) bills the cost model's closed-form
+  ``bill_placement`` instead;
 * migration into epoch ``e`` charges ``d(v, S_{e-1}(x))`` for every node
   ``v`` that holds a copy of object ``x`` in epoch ``e`` but not in
   epoch ``e-1`` (transfer from the nearest old copy); dropping a copy is
   free, like releasing rented storage.  Before epoch 0 every object has
   one copy on the cheapest storage node -- the same zero-knowledge start
   as :class:`~repro.simulate.online.OnlineCountingStrategy`, so the two
-  strategies' transfer accounting is comparable.
+  strategies' transfer accounting is comparable.  The cost model's
+  ``bill_migration`` bills a whole transition with one batched
+  set-distance query per distinct previous copy set.
 
 Incremental re-placement
 ------------------------
 Theorem 7 places objects *independently*, so a drifted epoch only
 invalidates the placements of objects whose demand actually changed.
-With ``config.replan_mode == "incremental"`` the replanner detects the
-dirty set with :func:`~repro.workloads.dynamic.drifted_rows`, comparing
-each object's current demand against the snapshot *at its last
-re-place*, carries every clean object's copy set forward from the
-previous epoch, and fans only the dirty subset through
-:meth:`~repro.engine.PlacementEngine.place_subset` -- the same chunked /
-parallel pipeline the full solve uses, restricted to the objects that
-need it.
+Drift is measured with :func:`~repro.workloads.dynamic.drifted_rows`
+against each object's demand *at its last re-place*, not merely the
+previous epoch.
 
 * ``replan_tolerance == 0.0`` (exact): an object is dirty iff its
   ``fr``/``fw`` rows changed at all, so the per-epoch placements -- and
@@ -58,17 +70,14 @@ need it.
   itself within the constant approximation factor of optimal.  Speed is
   traded for a *bounded* cost gap, never for correctness of the
   accounting.
-
-Migration is billed with one batched diff per epoch: gained copies are
-grouped by their object's *previous* copy set and each distinct group is
-charged through a single vectorized set-distance query
-(``dist_to_set``), instead of one per-object Python query each.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import networkx as nx
 import numpy as np
@@ -77,29 +86,119 @@ from ..config import PlanConfig
 from ..core.placement import Placement
 from ..costmodel import MigrationBill, get_cost_model
 from ..engine import PlacementEngine
+from .events import RequestLog
 from .paths import PathCache
 from .simulator import NetworkSimulator, SimulationReport
 
-__all__ = ["EpochReport", "ReplanResult", "EpochReplanner", "migration_diff"]
+__all__ = [
+    "EpochOutcome", "EpochStep", "EpochReport", "ReplanResult", "EpochReplanner",
+]
 
 
-def migration_diff(
-    metric,
-    prev: list[tuple[int, ...]],
-    new: tuple[tuple[int, ...], ...],
-) -> MigrationBill:
-    """Batched migration bill for a whole placement transition.
+@dataclass(frozen=True)
+class EpochOutcome:
+    """One solved epoch that its :class:`EpochStep` has not committed.
 
-    Compatibility wrapper over the single shared accounting entry point,
-    :meth:`CostModel.bill_migration <repro.costmodel.CostModel>` of the
-    default ``"krw"`` model -- the kernel :class:`EpochReplanner` and the
-    live :class:`~repro.serve.PlacementDaemon` both bill through, which
-    is what makes their cumulative migration bills comparable (and, at
-    ``tolerance=0``, bit-identical).  Returns a
-    :class:`~repro.costmodel.MigrationBill`; the legacy
-    ``cost, added, dropped = ...`` unpacking keeps working.
+    ``replaced`` counts the objects re-solved (the whole catalog on a
+    full solve, the drifted ones on an incremental one, 0 on a carried
+    epoch) and ``solve_time_s`` the wall time of the re-placement plus
+    its migration bill.  ``report`` is the replay's bill when the step
+    has a graph (``None`` when it is metric-only); ``serve_cost`` is the
+    epoch's storage + traffic bill either way.
     """
-    return get_cost_model("krw").bill_migration(metric, prev, new)
+
+    placement: Placement
+    migration: MigrationBill
+    serve_cost: float
+    report: SimulationReport | None
+    replaced: int
+    solve_time_s: float
+    #: the anchor update :meth:`EpochStep.commit` applies (None: none)
+    reanchor: Callable[[], None] | None = field(default=None, repr=False)
+
+
+class EpochStep:
+    """The epoch step of the replanner and the daemon (module docstring).
+
+    Before the first epoch each of the ``num_objects`` objects holds one
+    copy on the cheapest storage node.  With a ``graph`` each epoch's
+    serving bill is a :class:`~repro.simulate.simulator.NetworkSimulator`
+    replay of its canonical request log; without one the step is
+    metric-only and bills ``bill_placement`` under ``config.cost_policy``.
+    """
+
+    def __init__(
+        self,
+        metric,
+        storage_costs,
+        num_objects: int,
+        config: PlanConfig,
+        *,
+        graph: nx.Graph | None = None,
+    ) -> None:
+        # workloads imports simulate.events, so the tracker loads late
+        from ..workloads.drift import DriftTracker
+
+        self.metric = metric
+        self.config = config
+        self.graph = graph
+        self.model = get_cost_model(config.cost_model)
+        self.tracker = DriftTracker(tolerance=config.replan_tolerance)
+        start = int(np.argmin(storage_costs))
+        #: the committed copy sets (the previous epoch's placement)
+        self.copy_sets: tuple[tuple[int, ...], ...] = ((start,),) * int(num_objects)
+        self._path_cache = PathCache(graph) if graph is not None else None
+
+    def solve(self, instance) -> EpochOutcome:
+        """Place and bill one epoch's instance; changes nothing the step
+        owns (:meth:`commit` does)."""
+        config = self.config
+        fr, fw = instance.read_freq, instance.write_freq
+        t0 = time.perf_counter()
+        dirty = self.tracker.drifted(fr, fw) if self.tracker.primed else None
+        if dirty is not None and dirty.size == 0:
+            # nothing drifted past the tolerance: carry the placement
+            placement, replaced, reanchor = Placement(self.copy_sets), 0, None
+        elif dirty is not None and config.replan_mode == "incremental":
+            solved = PlacementEngine.from_config(instance, config).place_subset(dirty)
+            copy_sets = list(self.copy_sets)
+            for obj, copies in solved.items():
+                copy_sets[obj] = copies
+            placement, replaced = Placement(tuple(copy_sets)), len(solved)
+            reanchor = partial(self.tracker.rebase, dirty, fr, fw)
+        else:
+            # the first epoch, or a full re-solve
+            placement = PlacementEngine.from_config(instance, config).place()
+            replaced = placement.num_objects
+            reanchor = partial(self.tracker.prime, fr, fw)
+        migration = self.model.bill_migration(
+            self.metric, self.copy_sets, placement.copy_sets
+        )
+        solve_time = time.perf_counter() - t0
+
+        report = None
+        if self.graph is not None:
+            sim = NetworkSimulator(
+                self.graph, instance, update_policy="mst",
+                path_cache=self._path_cache, cost_model=self.model,
+            )
+            report = sim.run(placement, RequestLog.from_frequencies(fr, fw))
+            serve_cost = report.total_cost
+        else:
+            serve_cost = self.model.bill_placement(
+                instance, placement, policy=config.cost_policy
+            ).total
+        return EpochOutcome(
+            placement, migration, float(serve_cost), report, replaced,
+            solve_time, reanchor,
+        )
+
+    def commit(self, outcome: EpochOutcome) -> None:
+        """Make a solved epoch the step's previous one: move the drift
+        anchors it re-solved and carry its copy sets forward."""
+        if outcome.reanchor is not None:
+            outcome.reanchor()
+        self.copy_sets = outcome.placement.copy_sets
 
 
 @dataclass(frozen=True)
@@ -107,10 +206,9 @@ class EpochReport:
     """One epoch's outcome: the serving bill plus the transition cost.
 
     ``replaced_objects`` counts the objects actually re-solved this
-    epoch (the whole catalog in full mode; the dirty subset in
-    incremental mode) and ``solve_time_s`` the wall time of that
-    re-placement plus its migration diff -- the quantities Experiment
-    E16 compares across modes.
+    epoch and ``solve_time_s`` the wall time of that re-placement plus
+    its migration bill -- the quantities Experiment E16 compares across
+    modes.
     """
 
     epoch: int
@@ -153,7 +251,7 @@ class ReplanResult:
 
     @property
     def solve_time_s(self) -> float:
-        """Total re-placement (placement + migration diff) wall time."""
+        """Total re-placement (placement + migration bill) wall time."""
         return sum(e.solve_time_s for e in self.epochs)
 
     @property
@@ -175,13 +273,9 @@ class EpochReplanner:
     storage_costs:
         Per-node storage prices, shared by every epoch.
     config:
-        A :class:`~repro.config.PlanConfig` shared by every per-epoch
-        :class:`~repro.engine.PlacementEngine` solve.  Its
-        ``replan_mode`` / ``replan_tolerance`` knobs choose between the
-        full per-epoch re-solve and the incremental one (see the module
-        docstring).  Legacy engine keywords (``fl_solver=...``,
-        ``jobs=...``) are still accepted in its place and validated
-        through the same config.
+        A :class:`~repro.config.PlanConfig` shared by every epoch's
+        :class:`EpochStep`: its ``replan_mode`` / ``replan_tolerance``
+        knobs choose the re-solve (see the module docstring).
     """
 
     def __init__(
@@ -190,22 +284,11 @@ class EpochReplanner:
         metric,
         storage_costs: np.ndarray,
         config: PlanConfig | None = None,
-        **engine_kwargs,
     ) -> None:
-        if config is not None and engine_kwargs:
-            raise TypeError(
-                "pass either a PlanConfig or engine keywords, not both: "
-                f"{sorted(engine_kwargs)}"
-            )
         self.graph = graph
         self.metric = metric
         self.storage_costs = np.asarray(storage_costs, dtype=float)
-        # the legacy kwargs spelling funnels through the same validation
-        self.config = config if config is not None else PlanConfig(**engine_kwargs)
-        # all accounting (epoch bills + migration) through one model
-        self._cost_model = get_cost_model(self.config.cost_model)
-        # one routing/path state for all per-epoch simulators
-        self._path_cache = PathCache(graph)
+        self.config = config if config is not None else PlanConfig()
 
     # ------------------------------------------------------------------
     def _migration(
@@ -213,9 +296,9 @@ class EpochReplanner:
     ) -> tuple[float, int, int]:
         """Transfer cost into a new copy set from the nearest old copies.
 
-        The per-object reference implementation: :meth:`_migration_diff`
-        must bill every object exactly like this (tested), it just
-        batches the distance queries.
+        The per-object reference implementation: the cost model's
+        batched ``bill_migration`` must bill every object exactly like
+        this (tested).
         """
         old_set = set(old)
         gained = [v for v in new if v not in old_set]
@@ -225,95 +308,28 @@ class EpochReplanner:
         dist = self.metric.dist_to_set(sorted(old_set))
         return float(dist[np.asarray(gained, dtype=int)].sum()), len(gained), dropped
 
-    def _migration_diff(
-        self,
-        prev: list[tuple[int, ...]],
-        new: tuple[tuple[int, ...], ...],
-    ) -> MigrationBill:
-        """Batched migration bill for a whole epoch transition -- the
-        configured cost model's ``bill_migration`` on this replanner's
-        metric."""
-        return self._cost_model.bill_migration(self.metric, prev, new)
-
     # ------------------------------------------------------------------
-    def run(self, workload, *, log_seed: int | None = None) -> ReplanResult:
+    def run(self, workload) -> ReplanResult:
         """Replan and bill every epoch of a
-        :class:`~repro.workloads.dynamic.DynamicWorkload`.
-
-        ``config.replan_mode`` picks the per-epoch solve: ``"full"``
-        re-places the whole catalog, ``"incremental"`` re-places only
-        the drifted objects and carries every clean object's copy set
-        forward.  Epoch 0 is always a full solve -- there is no previous
-        epoch to carry from.  Drift is measured with
-        :func:`~repro.workloads.dynamic.drifted_rows` against each
-        object's demand *at its last re-place* (not merely the previous
-        epoch), so with ``replan_tolerance > 0`` a slow drift
-        accumulates until it crosses the threshold instead of slipping
-        under it epoch after epoch -- every carried object's demand
-        stays within the tolerance of the snapshot its placement was
-        solved for.  At ``tolerance=0`` the two baselines coincide (an
-        unchanged row's last-re-place snapshot *is* the previous epoch's
-        row), which is also what
-        :meth:`~repro.workloads.dynamic.DynamicWorkload.drifted_objects`
-        reports.
-
-        ``log_seed`` shuffles each epoch's replayed log (``log_seed +
-        epoch``); the static bill is order-independent, so this only
-        matters when comparing against order-sensitive strategies on the
-        same stream.
-        """
-        from ..workloads.drift import DriftTracker
-
-        incremental = self.config.replan_mode == "incremental"
+        :class:`~repro.workloads.dynamic.DynamicWorkload`: one
+        :meth:`EpochStep.solve` and :meth:`EpochStep.commit` per epoch,
+        from the zero-knowledge start."""
+        step = EpochStep(
+            self.metric, self.storage_costs, workload.num_objects, self.config,
+            graph=self.graph,
+        )
         result = ReplanResult()
-        start = int(np.argmin(self.storage_costs))
-        prev: list[tuple[int, ...]] = [
-            (start,) for _ in range(workload.num_objects)
-        ]
-        # demand rows at each object's last re-place (incremental mode)
-        tracker = DriftTracker(tolerance=self.config.replan_tolerance)
         for e in range(workload.num_epochs):
-            inst = workload.epoch_instance(self.metric, self.storage_costs, e)
-            # the timer covers re-placement + migration diff only --
-            # instance construction is a fixed cost both modes share
-            t0 = time.perf_counter()
-            engine = PlacementEngine.from_config(inst, self.config)
-            if incremental and e > 0:
-                fr_e = workload.read_freqs[e]
-                fw_e = workload.write_freqs[e]
-                dirty = tracker.drifted(fr_e, fw_e)
-                solved = engine.place_subset(dirty)
-                copy_sets = list(prev)
-                for obj, copies in solved.items():
-                    copy_sets[obj] = copies
-                placement = Placement(tuple(copy_sets))
-                replaced = len(solved)
-                if replaced:
-                    tracker.rebase(dirty, fr_e, fw_e)
-            else:
-                placement = engine.place()
-                replaced = workload.num_objects
-                if incremental:
-                    tracker.prime(workload.read_freqs[e], workload.write_freqs[e])
-
-            migration, added, dropped = self._migration_diff(
-                prev, placement.copy_sets
+            outcome = step.solve(
+                workload.epoch_instance(self.metric, self.storage_costs, e)
             )
-            solve_time = time.perf_counter() - t0
-
-            sim = NetworkSimulator(
-                self.graph, inst, update_policy="mst",
-                path_cache=self._path_cache, cost_model=self._cost_model,
-            )
-            log = workload.epoch_log(
-                e, seed=None if log_seed is None else log_seed + e
-            )
-            report = sim.run(placement, log)
+            step.commit(outcome)
+            migration, added, dropped = outcome.migration
             result.epochs.append(
                 EpochReport(
-                    e, report, migration, added, dropped, placement,
-                    replaced_objects=replaced, solve_time_s=solve_time,
+                    e, outcome.report, migration, added, dropped,
+                    outcome.placement, replaced_objects=outcome.replaced,
+                    solve_time_s=outcome.solve_time_s,
                 )
             )
-            prev = list(placement.copy_sets)
         return result

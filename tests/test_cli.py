@@ -229,6 +229,20 @@ class TestPlanCommand:
         out = io.StringIO()
         assert main(["plan", "--load", str(tmp_path / "nope.npz")], out=out) == 2
 
+    def test_plan_load_report_with_unknown_config_knob(self, tmp_path, capsys):
+        """A saved report whose config holds a typo is a clean error."""
+        import json
+
+        saved = tmp_path / "report.json"
+        assert main(["plan", "--scenario", "tree", "--save", str(saved)],
+                    out=io.StringIO()) == 0
+        data = json.loads(saved.read_text())
+        data["config"]["chunk_sze"] = 4
+        saved.write_text(json.dumps(data))
+        assert main(["plan", "--load", str(saved)], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert f"plan: cannot load {saved}" in err and "chunk_sze" in err
+
     def test_plan_rejects_unknown_config_knob(self, tmp_path):
         import json
 
@@ -324,3 +338,46 @@ class TestDynamicCommand:
     def test_dynamic_rejects_negative_tolerance(self):
         out = io.StringIO()
         assert main(["dynamic", "--tolerance", "-0.5"], out=out) == 2
+
+
+class TestServeRunCommand:
+    @pytest.mark.parametrize("damage", ["half-length", "not-a-zip"])
+    def test_damaged_checkpoint_is_a_clean_error(
+        self, damage, tmp_path, capsys, monkeypatch
+    ):
+        import sys
+
+        import numpy as np
+
+        from repro.graphs.generators import transit_stub_graph
+        from repro.graphs.metric import Metric
+        from repro.serialize import save_instance
+        from repro.serve import PlacementDaemon
+        from repro.workloads import make_instance
+
+        metric = Metric.from_graph(transit_stub_graph(2, 2, 3, seed=3))
+        inst = make_instance(metric, seed=2, num_objects=3)
+        inst_path = tmp_path / "inst.npz"
+        save_instance(inst, inst_path)
+        checkpoint = tmp_path / "warm.npz"
+        with PlacementDaemon(
+            inst.storage_costs, inst.num_objects, metric=metric
+        ) as daemon:
+            daemon.ingest_counts(inst.read_freq, inst.write_freq)
+            daemon.end_epoch()
+            daemon.checkpoint_now(checkpoint)
+        data = checkpoint.read_bytes()
+        if damage == "half-length":
+            checkpoint.write_bytes(data[: len(data) // 2])
+        else:
+            checkpoint.write_bytes(np.arange(64, dtype=np.uint8).tobytes())
+        monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+        code = main(
+            ["serve", "run", "--instance", str(inst_path),
+             "--checkpoint", str(checkpoint)],
+            out=io.StringIO(),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"serve run: cannot resume {checkpoint}:" in err
+        assert "Traceback" not in err

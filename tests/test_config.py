@@ -62,22 +62,22 @@ class TestValidation:
         assert "replan_mode" not in cfg.engine_kwargs()
 
     def test_serve_knobs(self):
-        from repro.config import SERVE_TRIGGERS
+        import repro.config
 
-        assert set(SERVE_TRIGGERS) == {"drift", "every-epoch"}
-        cfg = PlanConfig(serve_trigger="every-epoch",
-                         serve_checkpoint_every=3, serve_max_lag=2)
-        assert cfg.serve_trigger == "every-epoch"
+        cfg = PlanConfig(serve_checkpoint_every=3, serve_max_lag=2)
         assert cfg.serve_checkpoint_every == 3
         assert cfg.serve_max_lag == 2
         defaults = PlanConfig()
-        assert defaults.serve_trigger == "drift"
         assert defaults.serve_checkpoint_every == 0  # shutdown-only
         assert defaults.serve_max_lag == 4
         # the serve knobs steer the daemon, never the engine
-        assert "serve_trigger" not in cfg.engine_kwargs()
-        with pytest.raises(ValueError, match="serve_trigger"):
-            PlanConfig(serve_trigger="sometimes")
+        assert "serve_max_lag" not in cfg.engine_kwargs()
+        # the replan trigger is retired: the daemon runs the epoch
+        # step's one drift rule (see TestRetiredKnobs)
+        assert "serve_trigger" not in cfg.to_dict()
+        assert not hasattr(repro.config, "SERVE_TRIGGERS")
+        with pytest.raises(TypeError, match="serve_trigger"):
+            PlanConfig(serve_trigger="drift")
         with pytest.raises(ValueError, match="serve_checkpoint_every"):
             PlanConfig(serve_checkpoint_every=-1)
         with pytest.raises(ValueError, match="serve_max_lag"):
@@ -167,10 +167,11 @@ class TestEngineHandOff:
 
 
 class TestRetiredKnobs:
-    """Configs written while the worker-transport (``shared_memory``)
-    and kernel-dispatch (``kernels``) knobs existed still load."""
+    """Configs written while the worker-transport (``shared_memory``),
+    kernel-dispatch (``kernels``) and daemon replan-trigger
+    (``serve_trigger``) knobs existed still load."""
 
-    LEGACY = {"shared_memory": True, "kernels": "auto"}
+    LEGACY = {"shared_memory": True, "kernels": "auto", "serve_trigger": "every-epoch"}
 
     def test_dropped_with_one_warning_naming_both(self):
         data = {**PlanConfig(jobs=2, seed=5).to_dict(), **self.LEGACY}
@@ -180,10 +181,13 @@ class TestRetiredKnobs:
         assert len(record) == 1
         message = str(record[0].message)
         assert "shared_memory" in message and "kernels" in message
+        assert "serve_trigger" in message
 
     def test_one_retired_knob_alone(self):
         with pytest.warns(DeprecationWarning, match="kernels"):
             assert PlanConfig.from_dict({"kernels": "numpy"}) == PlanConfig()
+        with pytest.warns(DeprecationWarning, match="serve_trigger"):
+            assert PlanConfig.from_dict({"serve_trigger": "drift"}) == PlanConfig()
 
     def test_a_typo_still_raises_beside_them(self):
         with pytest.warns(DeprecationWarning):

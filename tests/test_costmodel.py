@@ -44,8 +44,9 @@ from repro.graphs.backend import LazyMetric
 from repro.graphs.metric import Metric
 from repro.graphs.mst import mst_cost
 from repro.simulate.events import RequestLog
-from repro.simulate.replanner import EpochReplanner, migration_diff
+from repro.simulate.replanner import EpochReplanner
 from repro.simulate.simulator import NetworkSimulator
+from repro.workloads.dynamic import drifting_zipf_catalog
 from repro.workloads.request_models import make_instance, uniform_storage_costs
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -281,11 +282,8 @@ class TestKRWBitParity:
             )
             assert isinstance(bill, MigrationBill)
             assert tuple(bill) == legacy
-            # the module-level wrapper delegates to the same kernel and
-            # still unpacks like the legacy 3-tuple
-            cost, added, dropped = migration_diff(
-                inst.metric, prev, placement.copy_sets
-            )
+            # the bill still unpacks like the legacy 3-tuple
+            cost, added, dropped = bill
             assert (cost, added, dropped) == legacy
 
     def test_empty_migration_diff_is_exactly_zero(self):
@@ -489,12 +487,25 @@ class TestConfigAndPlanner:
         assert instance_model.total == pytest.approx(default.total, rel=1e-12)
 
     def test_replanner_accepts_a_cost_model_config(self):
+        """A ``broadcast-write`` replan bills every epoch what
+        :class:`BroadcastWriteCostModel` bills -- below ``krw`` once a
+        copy set takes writes."""
         g, inst = _graph_instance(19)
-        replanner = EpochReplanner(
+        wl = drifting_zipf_catalog(
+            inst.num_nodes, 4, epochs=2, seed=19, write_fraction=0.3,
+        )
+        result = EpochReplanner(
             g, inst.metric, inst.storage_costs,
             PlanConfig(cost_model="broadcast-write"),
-        )
-        assert replanner._cost_model.name == "broadcast-write"
+        ).run(wl)
+        model = BroadcastWriteCostModel()
+        below_krw = False
+        for e, er in enumerate(result.epochs):
+            epoch = wl.epoch_instance(inst.metric, inst.storage_costs, e)
+            bill = model.bill_placement(epoch, er.placement).total
+            assert er.report.total_cost == pytest.approx(bill, rel=1e-12)
+            below_krw |= bill < placement_cost(epoch, er.placement).total
+        assert below_krw
 
 
 # ----------------------------------------------------------------------

@@ -121,6 +121,9 @@ class TestEpochReplanner:
         assert len(result.epochs) == 3
         assert result.epochs[1].migration_cost == 0.0
         assert result.epochs[2].migration_cost == 0.0
+        # nothing drifted, so even the default full mode re-solves nothing
+        assert result.epochs[1].replaced_objects == 0
+        assert result.epochs[2].replaced_objects == 0
         assert result.epochs[1].placement.copy_sets == result.epochs[0].placement.copy_sets
         # epoch 0 pays transfers from the cheapest-storage start node
         start = int(np.argmin(cs))
@@ -139,12 +142,13 @@ class TestEpochReplanner:
             metric.n, 5, epochs=3, seed=14, drift=0.4, requests_per_epoch=250,
             write_fraction=0.1,
         )
-        result = EpochReplanner(g, metric, cs).run(wl, log_seed=1)
+        result = EpochReplanner(g, metric, cs).run(wl)
         assert result.total_cost == pytest.approx(
             result.serve_cost + result.migration_cost
         )
         assert result.final_placement.num_objects == 5
-        # each epoch's serving bill equals an independent simulator replay
+        # each epoch's serving bill equals an independent replay of a
+        # shuffled log: the bill depends only on the counts
         for e, er in enumerate(result.epochs):
             inst = wl.epoch_instance(metric, cs, e)
             sim = NetworkSimulator(g, inst)
@@ -157,7 +161,9 @@ class TestEpochReplanner:
         wl = drifting_zipf_catalog(
             metric.n, 3, epochs=2, seed=16, requests_per_epoch=200
         )
-        result = EpochReplanner(g, metric, cs, fl_solver="greedy").run(wl)
+        result = EpochReplanner(
+            g, metric, cs, config=PlanConfig(fl_solver="greedy")
+        ).run(wl)
         for e, er in enumerate(result.epochs):
             inst = wl.epoch_instance(metric, cs, e)
             expected = PlacementEngine(inst, fl_solver="greedy").place()
@@ -333,11 +339,11 @@ class TestIncrementalReplanner:
             )
         full = EpochReplanner(
             g, metric, cs, config=PlanConfig(replan_mode="full")
-        ).run(wl, log_seed=2)
+        ).run(wl)
         incr = EpochReplanner(
             g, metric, cs,
             config=PlanConfig(replan_mode="incremental", replan_tolerance=0.0),
-        ).run(wl, log_seed=2)
+        ).run(wl)
         for f, i in zip(full.epochs, incr.epochs):
             assert f.placement.copy_sets == i.placement.copy_sets
             assert i.migration_cost == pytest.approx(f.migration_cost, rel=1e-12)
@@ -451,7 +457,7 @@ class TestIncrementalReplanner:
         cs = np.full(n, 2.0)
         res = EpochReplanner(
             g, metric, cs, config=PlanConfig(replan_mode=mode)
-        ).run(wl, log_seed=5)
+        ).run(wl)
         assert len(res.epochs) == 3
         quiet = res.epochs[1]
         assert quiet.report.transmission_cost == 0.0

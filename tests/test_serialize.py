@@ -141,20 +141,25 @@ class TestPlanReportRoundTrip:
 
 
 class TestRetiredConfigKnobs:
-    """Reports saved while ``PlanConfig`` had the ``shared_memory`` and
-    ``kernels`` knobs load, with one DeprecationWarning naming them."""
+    """Reports saved while ``PlanConfig`` had the ``shared_memory``,
+    ``kernels`` and ``serve_trigger`` knobs load, with one
+    DeprecationWarning naming them."""
 
     def _legacy(self, report: PlanReport, path):
         report.save(path)
         if path.suffix == ".json":
             data = json.loads(path.read_text())
-            data["config"].update(shared_memory=True, kernels="numpy")
+            data["config"].update(
+                shared_memory=True, kernels="numpy", serve_trigger="drift"
+            )
             path.write_text(json.dumps(data))
             return
         with np.load(path, allow_pickle=False) as archive:
             arrays = {k: np.asarray(archive[k]) for k in archive.files}
         meta = json.loads(str(arrays.pop("meta")))
-        meta["config"].update(shared_memory=True, kernels="numpy")
+        meta["config"].update(
+            shared_memory=True, kernels="numpy", serve_trigger="drift"
+        )
         np.savez_compressed(path, meta=np.str_(json.dumps(meta)), **arrays)
 
     @pytest.mark.parametrize("suffix", [".json", ".npz"])
@@ -168,6 +173,7 @@ class TestRetiredConfigKnobs:
         assert len(record) == 1
         message = str(record[0].message)
         assert "shared_memory" in message and "kernels" in message
+        assert "serve_trigger" in message
         assert loaded == report
         assert loaded.config == config
 

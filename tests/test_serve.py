@@ -104,6 +104,22 @@ class TestReplannerParity:
         assert report.placement.copy_sets == krw.placement.copy_sets
         assert report.extras["generation"] == 1
 
+    def test_registry_epoch_replan_and_daemon_bill_the_same_migration(self):
+        """Both strategies bill the zero-knowledge start's migration
+        through the cost model's ``bill_migration``, so the bits agree
+        (an object-by-object sum differs in the last bit here)."""
+        from repro.graphs.generators import sized_transit_stub_graph
+
+        metric = Metric.from_graph(sized_transit_stub_graph(200, seed=3))
+        inst = make_instance(metric, seed=3, num_objects=20)
+        config = PlanConfig()
+        replan = get_strategy("epoch-replan").plan(inst, config)
+        daemon = get_strategy("daemon").plan(inst, config)
+        assert replan.placement.copy_sets == daemon.placement.copy_sets
+        assert replan.extras["migration_cost"].hex() == (
+            daemon.extras["migration_cost"].hex()
+        )
+
 
 # ----------------------------------------------------------------------
 # lookups racing live background replans
@@ -362,7 +378,7 @@ class TestFailedPublish:
         daemon.end_epoch(wait=True)
         gen1 = daemon.snapshot()
         before = daemon.stats()
-        anchors = daemon._tracker.anchors
+        anchors = daemon._step.tracker.anchors
         assert gen1.generation == 1
         # an epoch without traffic: every object drifts and is re-placed,
         # the replay bills no request, so the only backend query left
@@ -383,7 +399,7 @@ class TestFailedPublish:
         )
         assert stats["last_epoch"] == before["last_epoch"]
         assert all(
-            np.array_equal(a, b) for a, b in zip(daemon._tracker.anchors, anchors)
+            np.array_equal(a, b) for a, b in zip(daemon._step.tracker.anchors, anchors)
         )
         for obj in range(wl.num_objects):
             sources, dists = plain.nearest_in_set(gen1.copy_sets[obj])
@@ -426,10 +442,10 @@ class TestWarmRestart:
         finally:
             reference.close()
 
-        # epoch 2's demand split into two half-windows: the kill lands
-        # between them
+        # epoch 2's demand split into two integer half-windows: the kill
+        # lands between them
         fr, fw = wl.read_freqs[2], wl.write_freqs[2]
-        half_fr, half_fw = fr / 2.0, fw / 2.0
+        half_fr, half_fw = np.floor(fr / 2.0), np.floor(fw / 2.0)
 
         path = tmp_path / "warm.npz"
         killed = PlacementDaemon(
@@ -593,9 +609,9 @@ class TestCheckpoint:
 
     def test_checkpoint_with_retired_config_knobs_resumes(self, tmp_path):
         """A checkpoint written while ``PlanConfig`` still had the
-        ``shared_memory`` and ``kernels`` knobs restores with one
-        DeprecationWarning, and its next epoch equals an uninterrupted
-        run's."""
+        ``shared_memory``, ``kernels`` and ``serve_trigger`` knobs
+        restores with one DeprecationWarning, and its next epoch equals
+        an uninterrupted run's."""
         g, metric = _network(seed=5)
         wl = _workload(metric.n, epochs=3, seed=17)
         cs = _costs(metric.n)
@@ -624,7 +640,10 @@ class TestCheckpoint:
         fmt = "repro-serve-checkpoint"
         meta, arrays = load_array_archive(path, fmt=fmt)
         meta = {k: v for k, v in meta.items() if k not in ("format", "version")}
-        meta["config"] = {**meta["config"], "shared_memory": True, "kernels": "auto"}
+        meta["config"] = {
+            **meta["config"], "shared_memory": True, "kernels": "auto",
+            "serve_trigger": "drift",
+        }
         save_array_archive(path, fmt=fmt, meta=meta, arrays=arrays)
 
         with pytest.warns(DeprecationWarning, match="shared_memory") as record:
@@ -633,6 +652,7 @@ class TestCheckpoint:
             )
         try:
             assert len(record) == 1
+            assert "serve_trigger" in str(record[0].message)
             assert resumed.config == config
             e = wl.num_epochs - 1
             resumed.ingest_counts(wl.read_freqs[e], wl.write_freqs[e])
@@ -825,6 +845,32 @@ class TestIngestContract:
                 daemon.ingest(
                     RequestLog(kind=[0], node=[0], obj=[5])  # obj out of range
                 )
+
+    def test_graph_billed_daemon_rejects_fractional_counts(self):
+        """The replay needs integer counts: a graph-billed daemon refuses
+        others at ingest, before they reach the window, and keeps
+        serving; a metric-only daemon bills fractional demand."""
+        g, metric = _network()
+        fr = np.zeros((2, metric.n))
+        fr[0, 1] = 2.5
+        zeros = np.zeros((2, metric.n))
+        with PlacementDaemon(
+            _costs(metric.n), 2, metric=metric, graph=g
+        ) as daemon:
+            with pytest.raises(ValueError, match="integer counts"):
+                daemon.ingest_counts(fr, zeros)
+            with pytest.raises(ValueError, match="integer counts"):
+                daemon.ingest_counts(zeros, fr)
+            stats = daemon.stats()
+            assert stats["pending_events"] == 0.0
+            assert stats["events_ingested"] == 0 and stats["reads"] == 0
+            daemon.ingest_counts(np.round(fr), zeros)
+            assert daemon.end_epoch() == 0
+            assert daemon.snapshot().generation == 1
+        with PlacementDaemon(_costs(metric.n), 2, metric=metric) as daemon:
+            daemon.ingest_counts(fr, zeros)
+            daemon.end_epoch()
+            assert daemon.snapshot().generation == 1
 
     def test_background_failure_surfaces_in_drain(self, monkeypatch):
         g, metric = _network()
